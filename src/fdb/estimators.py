@@ -248,19 +248,17 @@ def reweight(data, ls: LocationScatter) -> ReweightResult:
     x = as_data_matrix(data)
     n, p = x.shape
     d2 = mahalanobis_sq(x, ls)
-    c0 = float(np.median(d2)) / numeric.chi_square_quantile(p, 0.5)
-    if c0 <= 0.0:
-        raise SingularCovariance("median squared distance is zero; cannot calibrate weights")
+    c0 = _consistency_factor(d2, p, "calibrate weights")
     weights = (d2 / c0 <= numeric.chi_square_quantile(p, 0.975)).astype(np.int8)
     kept = int(weights.sum())
     if kept <= p + 1:
         raise TooFewWeightedSamples(
             f"reweighting kept {kept} samples, need more than {p + 1}"
         )
-    w = weights.astype(float)
-    mu = (w[:, None] * x).sum(axis=0) / kept
-    centered = x - mu
-    sigma = numeric.symmetrize((w[:, None] * centered).T @ centered / (kept - 1))
+    rows = x[weights.astype(bool)]
+    mu = rows.sum(axis=0) / kept
+    centered = rows - mu
+    sigma = numeric.symmetrize(centered.T @ centered / (kept - 1))
     try:
         numeric.cholesky(sigma)
     except NotPositiveDefinite as exc:
@@ -268,13 +266,18 @@ def reweight(data, ls: LocationScatter) -> ReweightResult:
     return ReweightResult(weights, c0, LocationScatter(mu, sigma, "reweighted"))
 
 
+def _consistency_factor(d2: np.ndarray, p: int, purpose: str) -> float:
+    # c = med_i D^2(x_i) / chi2_{p, 0.5}: the factor that makes the median
+    # squared distance match the chi-square median.
+    c = float(np.median(d2)) / numeric.chi_square_quantile(p, 0.5)
+    if c <= 0.0:
+        raise SingularCovariance(f"median squared distance is zero; cannot {purpose}")
+    return c
+
+
 def _consistency_scale(data, raw: LocationScatter) -> "tuple[float, LocationScatter]":
-    # c1 = med_i D^2(x_i; mu, sigma0) / chi2_{p, 0.5}, applied to sigma0.
-    p = raw.p
-    d2 = mahalanobis_sq(data, raw)
-    c1 = float(np.median(d2)) / numeric.chi_square_quantile(p, 0.5)
-    if c1 <= 0.0:
-        raise SingularCovariance("median squared distance is zero; cannot scale scatter")
+    # Rescales sigma0 by c1.
+    c1 = _consistency_factor(mahalanobis_sq(data, raw), raw.p, "scale scatter")
     scaled = LocationScatter(raw.mu, numeric.symmetrize(c1 * raw.sigma), "raw")
     return c1, scaled
 
@@ -314,6 +317,16 @@ def _finish_report(
     )
 
 
+def _depths(x: np.ndarray, config: EstimatorConfig) -> np.ndarray:
+    # A function of its own so the k x p direction set is freed before the
+    # estimation tail runs.
+    if config.depth == "projection":
+        p = x.shape[1]
+        dirs = depth_mod.sample_directions(p, config.resolve_k(p), config.seed)
+        return depth_mod.projection_depth(x, dirs)
+    return depth_mod.l2_depth(x)
+
+
 def fdb_estimate(data, config: EstimatorConfig) -> EstimationReport:
     """Depth-based robust location/scatter estimate.
 
@@ -332,11 +345,7 @@ def fdb_estimate(data, config: EstimatorConfig) -> EstimationReport:
             stacklevel=2,
         )
     with _stage("depth"):
-        if config.depth == "projection":
-            dirs = depth_mod.sample_directions(p, config.resolve_k(p), config.seed)
-            depths = depth_mod.projection_depth(x, dirs)
-        else:
-            depths = depth_mod.l2_depth(x)
+        depths = _depths(x, config)
     with _stage("subset"):
         subset = deepest_subset(depths, h, dim=p)
     t_subset = time.perf_counter()

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths it is used to check:
 the chi-square CDF is an adaptive quadrature of the density, determinants
 come from cofactor expansion, covariances from two-pass summation loops,
-and Mahalanobis distances from an explicit matrix inverse.
+Mahalanobis distances from an explicit matrix inverse, and depths from
+np.median and pairwise differences.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.spatial.distance import cdist
 
 
 def chi_square_cdf_quadrature(dof: int, x: float) -> float:
@@ -99,3 +101,31 @@ def frozen_chi_square_examples():
         (1, 0.5, 0.45493642311957305),
         (10, 0.9, 15.987179172105261),
     ]
+
+
+def projection_depth_reference(x, directions) -> np.ndarray:
+    """Projection depth by np.median over sample-major blocks of 512
+    directions, with zero-MAD directions dropped by a masked copy."""
+    x = np.asarray(x, dtype=float)
+    directions = np.asarray(directions, dtype=float)
+    outlyingness = np.zeros(x.shape[0])
+    any_usable = False
+    for start in range(0, directions.shape[0], 512):
+        proj = x @ directions[start : start + 512].T
+        dev = np.abs(proj - np.median(proj, axis=0))
+        madv = np.median(dev, axis=0)
+        usable = madv > 0.0
+        if not np.any(usable):
+            continue
+        any_usable = True
+        ratios = dev[:, usable] / madv[usable]
+        np.maximum(outlyingness, ratios.max(axis=1), out=outlyingness)
+    if not any_usable:
+        raise ValueError("every projection direction has zero MAD")
+    return 1.0 / (1.0 + outlyingness)
+
+
+def l2_depth_reference(x) -> np.ndarray:
+    """L2 depth from the full matrix of pairwise Euclidean distances."""
+    x = np.asarray(x, dtype=float)
+    return 1.0 / (1.0 + cdist(x, x).sum(axis=1) / x.shape[0])

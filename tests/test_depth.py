@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fdb import depth
 from fdb.depth import (
     DirectionSet,
     deepest_subset,
@@ -10,6 +13,7 @@ from fdb.depth import (
     sample_directions,
 )
 from fdb.errors import DegenerateData, DimensionError, InvalidSubsetSize
+from oracles import l2_depth_reference, projection_depth_reference
 
 
 class TestSampleDirections:
@@ -165,3 +169,76 @@ class TestDeepestSubset:
         perm = rng.permutation(50)
         permuted = deepest_subset(depths[perm], 20)
         assert np.allclose(np.sort(depths[subset]), np.sort(depths[perm][permuted]))
+
+
+def _peak_bytes(fn, *args) -> int:
+    """tracemalloc peak of one call, above the memory in use before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestDepthKernels:
+    """The blocked kernels against the plain references in ``oracles``."""
+
+    @pytest.mark.parametrize("n", [101, 100])
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_projection_depth_bitwise_equals_reference(self, monkeypatch, rng, n, rows):
+        # Integer samples and directions in steps of 1/8 make every projection
+        # exact in any summation order, so the kernels must agree bit for bit
+        # whatever the BLAS does. Over half the samples have x0 = 0, so e0 has
+        # zero MAD: it sits inside the first block next to usable directions
+        # and fills the whole second block when blocks hold 7 directions.
+        # k = 50 is not a multiple of 7.
+        p, k = 3, 50
+        x = rng.integers(-40, 41, size=(n, p)).astype(float)
+        x[: n // 2 + 1, 0] = 0.0
+        directions = rng.integers(-8, 9, size=(k, p)) / 8.0
+        directions[[0, 3, *range(7, 14)]] = [1.0, 0.0, 0.0]
+        if rows is not None:
+            monkeypatch.setattr(depth, "_BLOCK_BYTES", 8 * n * rows)
+        got = projection_depth(x, DirectionSet(directions, seed=0))
+        assert np.array_equal(got, projection_depth_reference(x, directions))
+
+    @pytest.mark.parametrize("n,p", [(200, 5), (201, 7), (400, 40)])
+    def test_projection_depth_matches_reference_on_gaussian_data(self, rng, n, p):
+        # Only the order in which the BLAS sums a projection may differ.
+        x = rng.standard_normal((n, p))
+        dirs = sample_directions(p, 700, seed=1)
+        diff = projection_depth(x, dirs) - projection_depth_reference(x, dirs.directions)
+        assert np.max(np.abs(diff)) <= 1e-14
+
+    @pytest.mark.parametrize("p", [depth._L2_GRAM_MIN_P - 1, depth._L2_GRAM_MIN_P, 40])
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_l2_depth_matches_reference(self, monkeypatch, rng, p, offset):
+        # Blocks of 16 rows, so the Gram path runs over several blocks.
+        monkeypatch.setattr(depth, "_BLOCK_BYTES", 8 * 150 * 16)
+        x = rng.standard_normal((150, p)) + offset
+        x[[20, 75, 149]] = x[3]
+        got = l2_depth(x)
+        assert np.max(np.abs(got - l2_depth_reference(x))) <= 1e-12
+        assert np.unique(got[[3, 20, 75, 149]]).size == 1
+
+    @pytest.mark.parametrize("p", [3, depth._L2_GRAM_MIN_P])
+    def test_l2_depth_extreme_scale(self, rng, p):
+        x = rng.standard_normal((120, p))
+        big = l2_depth(x * 1e160)
+        assert np.all(np.isfinite(big)) and np.all(big > 0.0) and np.all(big <= 1.0)
+        assert np.array_equal(
+            np.argsort(big, kind="stable"), np.argsort(l2_depth(x), kind="stable")
+        )
+
+    @pytest.mark.parametrize("p", [5, 50])
+    def test_memory_bounded_by_block_budget(self, rng, p):
+        # Two blocks, one copy of the data and a few length-n vectors; the
+        # unblocked-in-n kernels held several (512 x n) blocks at once.
+        n = 5000
+        x = rng.standard_normal((n, p))
+        bound = 2 * depth._BLOCK_BYTES + 8 * n * p + 64 * n
+        assert _peak_bytes(l2_depth, x) < bound
+        dirs = sample_directions(p, 1000, seed=0)
+        assert _peak_bytes(projection_depth, x, dirs) < bound
