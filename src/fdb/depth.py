@@ -122,12 +122,12 @@ def projection_depth(data, dirs: DirectionSet) -> np.ndarray:
     for start in range(0, dirs.k, rows):
         block = dirs.directions[start : start + rows]
         dev = proj[: block.shape[0]]
-        scratch = work[: block.shape[0]]
+        part = work[: block.shape[0]]
         np.matmul(block, x.T, out=dev)
-        med = _row_medians(dev, scratch)
+        med = _row_medians(dev, part)
         np.subtract(dev, med[:, None], out=dev)
         np.abs(dev, out=dev)
-        madv = _row_medians(dev, scratch)
+        madv = _row_medians(dev, part)
         # A zero-MAD direction divides by infinity and contributes 0, which
         # never raises the nonnegative running maximum.
         zero = madv == 0.0
@@ -140,19 +140,19 @@ def projection_depth(data, dirs: DirectionSet) -> np.ndarray:
     return 1.0 / (1.0 + outlyingness)
 
 
-def _row_medians(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _row_medians(values: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Median of each row, equal bit for bit to ``np.median(values, axis=1)``.
 
-    ``scratch`` (same shape) is overwritten by a partitioned copy; even
+    ``work`` (same shape) is overwritten by a partitioned copy; even
     lengths average the two central order statistics as np.median does.
     """
     n = values.shape[1]
     lo, hi = (n - 1) // 2, n // 2
-    np.copyto(scratch, values)
-    scratch.partition((lo, hi), axis=1)
+    np.copyto(work, values)
+    work.partition((lo, hi), axis=1)
     if lo == hi:
-        return scratch[:, hi].copy()
-    return (scratch[:, lo] + scratch[:, hi]) / 2.0
+        return work[:, hi].copy()
+    return (work[:, lo] + work[:, hi]) / 2.0
 
 
 def l2_depth(data) -> np.ndarray:
