@@ -9,6 +9,7 @@ error, 3 computation error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -117,19 +118,12 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-class _CsvBuffer:
-    def __init__(self):
-        self.parts = []
-
-    def write(self, text):
-        self.parts.append(text)
-
-    def getvalue(self):
-        return "".join(self.parts)
-
-
 def resolve_threads(value: "str | None") -> int:
-    """Thread count: --threads flag, then FDB_THREADS, then hardware parallelism."""
+    """Thread count: --threads flag, then FDB_THREADS, then hardware parallelism.
+
+    estimate, pca, detect and depth split the depth kernels' blocks over
+    these threads; benchmark runs its replicates on them.
+    """
     if value is None or value == "auto":
         env = os.environ.get("FDB_THREADS", "").strip()
         if env:
@@ -145,7 +139,7 @@ def resolve_threads(value: "str | None") -> int:
     return threads
 
 
-def _parse_k(value: "str | None", p: int) -> "int | None":
+def _parse_k(value: "str | None") -> "int | None":
     if value is None or value == "auto":
         return None
     try:
@@ -161,12 +155,14 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _run_estimator(x, method, alpha, k, seed, reweight, starts):
+def _run_estimator(x, method, alpha, k, seed, reweight, starts, threads):
     if method == "fastmcd":
         h = int(math.floor(alpha * x.shape[0]))
         return fastmcd_baseline(x, h=h, n_starts=starts, seed=seed, reweight_estimate=reweight)
     depth_kind = "projection" if method == "fdb-pro" else "l2"
-    config = EstimatorConfig(alpha=alpha, depth=depth_kind, k=k, seed=seed, reweight=reweight)
+    config = EstimatorConfig(
+        alpha=alpha, depth=depth_kind, k=k, seed=seed, reweight=reweight, threads=threads
+    )
     return fdb_estimate(x, config)
 
 
@@ -198,8 +194,10 @@ def _estimate_document(report, args, x, k, threads):
 def cmd_estimate(args) -> int:
     x = read_matrix_csv(args.input)
     threads = resolve_threads(args.threads)
-    k = _parse_k(args.k, x.shape[1])
-    report = _run_estimator(x, args.method, args.alpha, k, args.seed, args.reweight, args.starts)
+    k = _parse_k(args.k)
+    report = _run_estimator(
+        x, args.method, args.alpha, k, args.seed, args.reweight, args.starts, threads
+    )
     atomic_write_text(args.output, _json_dumps(_estimate_document(report, args, x, k, threads)))
     return EXIT_OK
 
@@ -258,7 +256,7 @@ def cmd_benchmark(args) -> int:
         settings=settings,
         progress=evaluation.print_progress,
     )
-    buffer = _CsvBuffer()
+    buffer = io.StringIO()
     evaluation.export_benchmark_csv(rows, buffer)
     atomic_write_text(args.output, buffer.getvalue())
     flagged = [row for row in rows if row.flagged]
@@ -272,13 +270,15 @@ def cmd_benchmark(args) -> int:
 def cmd_pca(args) -> int:
     x = read_matrix_csv(args.input)
     threads = resolve_threads(args.threads)
-    k = _parse_k(args.k, x.shape[1])
-    report = _run_estimator(x, args.method, args.alpha, k, args.seed, args.reweight, args.starts)
+    k = _parse_k(args.k)
+    report = _run_estimator(
+        x, args.method, args.alpha, k, args.seed, args.reweight, args.starts, threads
+    )
     model = applications.robust_pca(x, report.estimate, args.components)
     diagnostics = applications.pca_diagnostics(x, model)
     detection = applications.detect_outliers(x, report.estimate, rule="chi2:0.975")
 
-    buffer = _CsvBuffer()
+    buffer = io.StringIO()
     applications.export_diagnostics_csv(buffer, diagnostics, detection)
     atomic_write_text(args.output, buffer.getvalue())
 
@@ -301,9 +301,11 @@ def cmd_pca(args) -> int:
 def cmd_detect(args) -> int:
     x = read_matrix_csv(args.input)
     threads = resolve_threads(args.threads)
-    k = _parse_k(args.k, x.shape[1])
+    k = _parse_k(args.k)
     labels = read_labels_csv(args.labels, x.shape[0]) if args.labels else None
-    report = _run_estimator(x, args.method, args.alpha, k, args.seed, args.reweight, args.starts)
+    report = _run_estimator(
+        x, args.method, args.alpha, k, args.seed, args.reweight, args.starts, threads
+    )
     result = applications.detect_outliers(x, report.estimate, rule=args.rule, labels=labels)
 
     lines = ["index,distance,flag"]
@@ -327,13 +329,13 @@ def cmd_detect(args) -> int:
 
 def cmd_depth(args) -> int:
     x = read_matrix_csv(args.input)
-    resolve_threads(args.threads)
+    threads = resolve_threads(args.threads)
     n, p = x.shape
     if args.depth == "projection":
-        k = _parse_k(args.k, p) or default_direction_count(p)
-        depths = projection_depth(x, sample_directions(p, k, args.seed))
+        k = _parse_k(args.k) or default_direction_count(p)
+        depths = projection_depth(x, sample_directions(p, k, args.seed), threads)
     else:
-        depths = l2_depth(x)
+        depths = l2_depth(x, threads)
     lines = ["index,depth"]
     for i in range(n):
         lines.append(f"{i},{float(depths[i])!r}")

@@ -9,6 +9,8 @@ core set used by the robust estimators.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,14 +18,25 @@ from scipy.spatial.distance import cdist
 
 from .errors import DegenerateData, DimensionError, InvalidSubsetSize
 
-# Byte budget of one working block: projection depth holds two blocks of
-# directions x samples, L2 depth one block of rows x samples, so their memory
-# beyond a copy of the data stays bounded whatever n and k are. The
-# per-sample maximum and the per-sample distance sums do not depend on the
-# block size. Measured with one BLAS thread: 128 KiB made 2000 x 200 depths
-# 15% (projection) and 65% (L2) slower than 512 KiB, while 1-2 MiB saved at
-# most 7% and doubled to tripled the peak memory of a 400 x 40 estimate.
-_BLOCK_BYTES = 512 * 1024
+# Byte budget of one working block: each worker thread of projection depth
+# holds two blocks of directions x samples, each worker of L2 depth one block
+# of rows x samples, so their memory beyond a copy of the data stays bounded
+# whatever n and k are. The block size must not depend on the thread count:
+# OpenBLAS picks its kernel by operand shape, so only equal blocks give
+# bitwise-equal depths for every count. 256 KiB lets two workers hold what
+# one worker held at 512 KiB; at 2000 x 200 with one BLAS thread it makes a
+# single worker 5% (projection, k = 2000) and 19% (L2) slower than 512 KiB.
+_BLOCK_BYTES = 256 * 1024
+
+# A worker thread costs about 80 us to start and join, and on a two-vCPU host
+# the workers also queue for the interpreter lock between numpy calls. So the
+# kernels add a worker only per this many blocks. A projection block (two
+# partitions per direction) takes about 0.5 ms, and two workers gained from
+# 4 blocks on (n = 100, p = 10: 2.13 -> 1.74 ms) but not at 2. An L2 block
+# takes 0.05-0.15 ms, and two workers lost at 8 blocks for p = 5 (0.51 ->
+# 0.63 ms) and gained from 16 on at p = 5 and 100 (0.82x, 0.69x).
+_PROJECTION_BLOCKS_PER_WORKER = 2
+_L2_BLOCKS_PER_WORKER = 8
 
 # From this dimension on, L2 depth uses the Gram form |a|^2 + |b|^2 - 2 a'b,
 # one matrix product per block; below it pairwise differences (cdist) are
@@ -41,6 +54,34 @@ _UNSCALED_EXPONENT = 256
 def _block_rows(n: int) -> int:
     """Rows of n float64 values that fit in one block (at least one)."""
     return max(1, _BLOCK_BYTES // (8 * n))
+
+
+def _worker_count(threads: "int | None") -> int:
+    """Worker threads of the depth kernels: ``threads`` if given, else the
+    FDB_THREADS environment variable, else 1."""
+    if threads is None:
+        env = os.environ.get("FDB_THREADS", "").strip()
+        if not env:
+            return 1
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(f"FDB_THREADS must be a positive integer, got {env!r}") from None
+    if threads < 1:
+        raise ValueError(f"thread count must be positive, got {threads}")
+    return threads
+
+
+def _map_blocks(work, starts: range, threads: "int | None", blocks_per_worker: int) -> list:
+    """Deal the block ``starts`` round-robin to T workers (worker w takes
+    blocks w, w + T, ...) and return each worker's ``work(starts)``, in
+    worker order. T is the thread count, at most one worker per
+    ``blocks_per_worker`` blocks; a single worker runs inline."""
+    workers = max(1, min(_worker_count(threads), len(starts) // blocks_per_worker))
+    if workers == 1:
+        return [work(starts)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, [starts[w::workers] for w in range(workers)]))
 
 
 def default_direction_count(p: int) -> int:
@@ -89,15 +130,25 @@ def sample_directions(p: int, k: int, seed: int) -> DirectionSet:
         raise ValueError(f"direction count must be positive, got {k}")
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((k, p))
-    norms = np.linalg.norm(u, axis=1)
+    norms = _row_norms(u)
     while np.any(norms == 0.0):
         bad = norms == 0.0
         u[bad] = rng.standard_normal((int(bad.sum()), p))
-        norms = np.linalg.norm(u, axis=1)
-    return DirectionSet(u / norms[:, None], seed)
+        norms = _row_norms(u)
+    u /= norms[:, None]
+    return DirectionSet(u, seed)
 
 
-def projection_depth(data, dirs: DirectionSet) -> np.ndarray:
+def _row_norms(u: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(u, axis=1)`` bit for bit, taken over blocks of rows
+    so that its squares never fill a second array of the size of ``u``."""
+    rows = _block_rows(u.shape[1])
+    return np.concatenate(
+        [np.linalg.norm(u[start : start + rows], axis=1) for start in range(0, u.shape[0], rows)]
+    )
+
+
+def projection_depth(data, dirs: DirectionSet, threads: "int | None" = None) -> np.ndarray:
     """Approximate projection depth of every sample.
 
     For sample x the outlyingness is the maximum over usable directions u of
@@ -106,7 +157,9 @@ def projection_depth(data, dirs: DirectionSet) -> np.ndarray:
     if every direction is unusable the data are degenerate.
 
     Directions are processed in blocks of at most ``_BLOCK_BYTES`` of
-    projections, so the working memory is two such blocks besides the data.
+    projections, so the working memory is two such blocks per worker thread
+    besides the data. ``threads`` workers (``None``: FDB_THREADS, else 1)
+    share the blocks; the depths are bitwise equal for every count.
     """
     x = as_data_matrix(data)
     if dirs.p != x.shape[1]:
@@ -115,28 +168,40 @@ def projection_depth(data, dirs: DirectionSet) -> np.ndarray:
         )
     n = x.shape[0]
     rows = min(_block_rows(n), dirs.k)
-    proj = np.empty((rows, n))  # one direction per row
-    work = np.empty((rows, n))  # partitioned copy for the medians
-    outlyingness = np.zeros(n)
-    any_usable = False
-    for start in range(0, dirs.k, rows):
-        block = dirs.directions[start : start + rows]
-        dev = proj[: block.shape[0]]
-        part = work[: block.shape[0]]
-        np.matmul(block, x.T, out=dev)
-        med = _row_medians(dev, part)
-        np.subtract(dev, med[:, None], out=dev)
-        np.abs(dev, out=dev)
-        madv = _row_medians(dev, part)
-        # A zero-MAD direction divides by infinity and contributes 0, which
-        # never raises the nonnegative running maximum.
-        zero = madv == 0.0
-        any_usable = any_usable or not zero.all()
-        madv[zero] = np.inf
-        np.divide(dev, madv[:, None], out=dev)
-        np.maximum(outlyingness, dev.max(axis=0), out=outlyingness)
-    if not any_usable:
+
+    def running_max(starts):
+        proj = np.empty((rows, n))  # one direction per row
+        work = np.empty((rows, n))  # partitioned copy for the medians
+        outlyingness = np.zeros(n)
+        usable = False
+        for start in starts:
+            block = dirs.directions[start : start + rows]
+            dev = proj[: block.shape[0]]
+            part = work[: block.shape[0]]
+            np.matmul(block, x.T, out=dev)
+            med = _row_medians(dev, part)
+            np.subtract(dev, med[:, None], out=dev)
+            np.abs(dev, out=dev)
+            madv = _row_medians(dev, part)
+            # A zero-MAD direction divides by infinity and contributes 0,
+            # which never raises the nonnegative running maximum.
+            zero = madv == 0.0
+            usable = usable or not zero.all()
+            madv[zero] = np.inf
+            np.divide(dev, madv[:, None], out=dev)
+            np.maximum(outlyingness, dev.max(axis=0), out=outlyingness)
+        return outlyingness, usable
+
+    results = _map_blocks(
+        running_max, range(0, dirs.k, rows), threads, _PROJECTION_BLOCKS_PER_WORKER
+    )
+    if not any(usable for _, usable in results):
         raise DegenerateData("every projection direction has zero MAD")
+    # The maximum is exact, so merging the workers' maxima in any order
+    # gives the same bits.
+    outlyingness = results[0][0]
+    for other, _ in results[1:]:
+        np.maximum(outlyingness, other, out=outlyingness)
     return 1.0 / (1.0 + outlyingness)
 
 
@@ -155,15 +220,21 @@ def _row_medians(values: np.ndarray, work: np.ndarray) -> np.ndarray:
     return (work[:, lo] + work[:, hi]) / 2.0
 
 
-def l2_depth(data) -> np.ndarray:
+def l2_depth(data, threads: "int | None" = None, *, return_mean_distance: bool = False):
     """Exact sample L2 depth: 1 / (1 + mean Euclidean distance to the sample).
 
     Data of extreme scale are first scaled by a power of two, which is
     exact, so that squared distances neither overflow nor become subnormal.
     From dimension ``_L2_GRAM_MIN_P`` on the distances come from the Gram
     form of a centred copy, below it from pairwise differences. Either way
-    the working memory is one block of at most ``_BLOCK_BYTES`` besides one
-    copy of the data.
+    the working memory is one block of at most ``_BLOCK_BYTES`` per worker
+    thread besides one copy of the data. ``threads`` workers (``None``:
+    FDB_THREADS, else 1) share the blocks; the depths are bitwise equal for
+    every count.
+
+    With ``return_mean_distance`` the result is (depths, mean distances).
+    The depth rounds to 1 for mean distances below 2**-53, so tiny data
+    have to be ranked by the distances.
     """
     x = as_data_matrix(data)
     n, p = x.shape
@@ -171,19 +242,24 @@ def l2_depth(data) -> np.ndarray:
     if abs(exponent) <= _UNSCALED_EXPONENT:
         exponent = 0
     if p >= _L2_GRAM_MIN_P:
-        sums = _gram_distance_sums(x, exponent)
+        sums = _gram_distance_sums(x, exponent, threads)
     else:
         scaled = np.ldexp(x, -exponent) if exponent else x
         rows = _block_rows(n)
         sums = np.empty(n)
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            sums[start:stop] = cdist(scaled[start:stop], scaled).sum(axis=1)
+
+        def fill(starts):  # workers write disjoint slices of sums
+            for start in starts:
+                stop = min(start + rows, n)
+                sums[start:stop] = cdist(scaled[start:stop], scaled).sum(axis=1)
+
+        _map_blocks(fill, range(0, n, rows), threads, _L2_BLOCKS_PER_WORKER)
     mean_dist = np.ldexp(sums / n, exponent)
-    return 1.0 / (1.0 + mean_dist)
+    depths = 1.0 / (1.0 + mean_dist)
+    return (depths, mean_dist) if return_mean_distance else depths
 
 
-def _gram_distance_sums(x: np.ndarray, exponent: int) -> np.ndarray:
+def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> np.ndarray:
     """Sum of the Euclidean distances from each row of ``x * 2**-exponent``
     to all rows, through |a|^2 + |b|^2 - 2 a'b on the centred scaled copy.
 
@@ -199,19 +275,23 @@ def _gram_distance_sums(x: np.ndarray, exponent: int) -> np.ndarray:
     weights = counts.astype(float)
     m = xc.shape[0]
     rows = min(_block_rows(m), m)
-    buf = np.empty((rows, m))
     sums = np.empty(m)
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        d2 = buf[: stop - start]
-        np.matmul(xc[start:stop], xc.T, out=d2)
-        d2 *= -2.0
-        d2 += sq[start:stop, None]
-        d2 += sq
-        np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(stop - start), np.arange(start, stop)] = 0.0
-        np.sqrt(d2, out=d2)
-        np.matmul(d2, weights, out=sums[start:stop])
+
+    def fill(starts):  # workers write disjoint slices of sums
+        buf = np.empty((rows, m))
+        for start in starts:
+            stop = min(start + rows, m)
+            d2 = buf[: stop - start]
+            np.matmul(xc[start:stop], xc.T, out=d2)
+            d2 *= -2.0
+            d2 += sq[start:stop, None]
+            d2 += sq
+            np.maximum(d2, 0.0, out=d2)
+            d2[np.arange(stop - start), np.arange(start, stop)] = 0.0
+            np.sqrt(d2, out=d2)
+            np.matmul(d2, weights, out=sums[start:stop])
+
+    _map_blocks(fill, range(0, m, rows), threads, _L2_BLOCKS_PER_WORKER)
     return sums[inverse]
 
 

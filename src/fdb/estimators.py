@@ -61,7 +61,9 @@ class EstimatorConfig:
 
     ``alpha`` sets the core-set size h = floor(alpha * n) unless ``h`` is
     given explicitly; ``k`` is the direction count for projection depth
-    (``None`` means the adaptive rule max(1000, 10 p)).
+    (``None`` means the adaptive rule max(1000, 10 p)). ``threads`` is the
+    worker count of the depth kernels (``None`` means the FDB_THREADS
+    environment variable, else 1); the estimate does not depend on it.
     """
 
     alpha: float = 0.75
@@ -70,12 +72,15 @@ class EstimatorConfig:
     k: "int | None" = None
     seed: int = 0
     reweight: bool = True
+    threads: "int | None" = None
 
     def __post_init__(self):
         if not 0.5 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0.5, 1], got {self.alpha}")
         if self.depth not in ("projection", "l2"):
             raise ValueError(f"unknown depth notion {self.depth!r}")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"thread count must be positive, got {self.threads}")
 
     def resolve_h(self, n: int, p: int) -> int:
         h = self.h if self.h is not None else int(math.floor(self.alpha * n))
@@ -179,7 +184,9 @@ def mahalanobis_sq(data, ls: LocationScatter) -> np.ndarray:
             f"data dimension {x.shape[1]} does not match estimate dimension {ls.p}"
         )
     lower = numeric.cholesky(ls.sigma)
-    z = solve_triangular(lower, (x - ls.mu).T, lower=True)
+    # The centred transpose is Fortran-ordered, so the solve overwrites it
+    # and one n x p array is alive at a time.
+    z = solve_triangular(lower, (x - ls.mu).T, lower=True, overwrite_b=True)
     return np.einsum("ij,ij->j", z, z)
 
 
@@ -318,13 +325,17 @@ def _finish_report(
 
 
 def _depths(x: np.ndarray, config: EstimatorConfig) -> np.ndarray:
-    # A function of its own so the k x p direction set is freed before the
-    # estimation tail runs.
+    # Scores in depth order. A function of its own so the k x p direction
+    # set is freed before the estimation tail runs.
     if config.depth == "projection":
         p = x.shape[1]
         dirs = depth_mod.sample_directions(p, config.resolve_k(p), config.seed)
-        return depth_mod.projection_depth(x, dirs)
-    return depth_mod.l2_depth(x)
+        return depth_mod.projection_depth(x, dirs, config.threads)
+    # L2 depth 1 / (1 + d) is 1 for every mean distance d below 2**-53;
+    # -d keeps the depth order wherever the depths differ, and ranks tiny
+    # data too.
+    _, mean_dist = depth_mod.l2_depth(x, config.threads, return_mean_distance=True)
+    return -mean_dist
 
 
 def fdb_estimate(data, config: EstimatorConfig) -> EstimationReport:

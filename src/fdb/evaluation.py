@@ -289,11 +289,12 @@ def _replicate_seeds(seed: int, replicate: int) -> "tuple[int, int, int, int]":
 
 
 def _run_method(x, method: str, alpha: float, seed: int):
+    # run_benchmark spends its threads on replicates, so every estimate runs
+    # its depth kernel on one thread.
     n = x.shape[0]
-    if method == "fdb-pro":
-        return fdb_estimate(x, EstimatorConfig(alpha=alpha, depth="projection", seed=seed))
-    if method == "fdb-l2":
-        return fdb_estimate(x, EstimatorConfig(alpha=alpha, depth="l2", seed=seed))
+    if method in ("fdb-pro", "fdb-l2"):
+        depth = "projection" if method == "fdb-pro" else "l2"
+        return fdb_estimate(x, EstimatorConfig(alpha=alpha, depth=depth, seed=seed, threads=1))
     if method == "fastmcd":
         return fastmcd_baseline(x, h=int(math.floor(alpha * n)), seed=seed)
     raise ValueError(f"unknown method {method!r}")

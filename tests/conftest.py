@@ -14,3 +14,28 @@ import pytest  # noqa: E402
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240501)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the thread pools the depth kernels start."""
+    from fdb import depth
+
+    sizes = []
+
+    class Recording(depth.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(depth, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+@pytest.fixture
+def one_block_per_worker(monkeypatch):
+    """Lets small inputs use as many depth workers as they have blocks."""
+    from fdb import depth
+
+    monkeypatch.setattr(depth, "_PROJECTION_BLOCKS_PER_WORKER", 1)
+    monkeypatch.setattr(depth, "_L2_BLOCKS_PER_WORKER", 1)

@@ -310,6 +310,31 @@ class TestThreadResolution:
             resolve_threads("0")
 
 
+class TestThreadedDepth:
+    @pytest.mark.parametrize("method", ["fdb-pro", "fdb-l2"])
+    def test_thread_count_changes_only_the_threads_field(
+        self, tmp_path, monkeypatch, pools, one_block_per_worker, method
+    ):
+        monkeypatch.delenv("FDB_THREADS", raising=False)
+        x = np.random.default_rng(3).standard_normal((400, 20))
+        src = write(tmp_path / "x.csv", "\n".join(",".join(map(repr, row)) for row in x.tolist()))
+        docs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"est{threads}.json"
+            assert main(["estimate", "--input", src, "--output", str(out), "--method", method,
+                         "--seed", "4", "--threads", threads]) == 0
+            docs.append(mask_timing(out.read_text()).replace(f'"threads": {threads}', '"threads": <n>'))
+        assert pools == [2]
+        assert docs[0] == docs[1]
+
+    def test_depth_command_uses_the_flag_then_the_environment(self, sample_csv, tmp_path, monkeypatch, pools):
+        monkeypatch.setenv("FDB_THREADS", "3")
+        out = str(tmp_path / "depth.csv")
+        assert main(["depth", "--input", sample_csv, "--output", out, "--k", "2000"]) == 0
+        assert main(["depth", "--input", sample_csv, "--output", out, "--k", "2000", "--threads", "2"]) == 0
+        assert pools == [3, 2]
+
+
 class TestModuleEntryPoint:
     def test_python_m_fdb(self, cross_csv, tmp_path):
         out = tmp_path / "est.json"

@@ -1,9 +1,11 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fdb import depth
+from fdb.estimators import EstimatorConfig, fdb_estimate
 from fdb.depth import (
     DirectionSet,
     deepest_subset,
@@ -38,6 +40,14 @@ class TestSampleDirections:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             sample_directions(3, 0, seed=0)
+
+    def test_normalized_in_place(self):
+        # Same bits as dividing a copy, with one k x p array alive.
+        p, k = 200, 2000
+        u = np.random.default_rng(4).standard_normal((k, p))
+        expected = u / np.linalg.norm(u, axis=1)[:, None]
+        assert np.array_equal(sample_directions(p, k, seed=4).directions, expected)
+        assert _peak_bytes(sample_directions, p, k, 4) < 1.25 * 8 * k * p
 
 
 class TestProjectionDepth:
@@ -242,3 +252,86 @@ class TestDepthKernels:
         assert _peak_bytes(l2_depth, x) < bound
         dirs = sample_directions(p, 1000, seed=0)
         assert _peak_bytes(projection_depth, x, dirs) < bound
+
+
+class TestThreadCount:
+    """The kernels split fixed-size blocks over threads; results may not
+    depend on the thread count."""
+
+    @pytest.mark.parametrize("n,p", [(201, 7), (333, 13), (400, 40), (2000, 200)])
+    def test_bitwise_equal_for_every_thread_count(self, one_block_per_worker, pools, n, p):
+        # Over half the samples have x0 = 0, so e0 has zero MAD. It fills
+        # the start of block 1, which belongs to worker 1 for 2 and 3
+        # threads, so worker 0 sees usable directions only.
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, p))
+        x[: n // 2 + 1, 0] = 0.0
+        directions = sample_directions(p, 1000, seed=p).directions
+        rows = depth._block_rows(n)
+        directions[rows : rows + 3] = np.eye(p)[0]
+        dirs = DirectionSet(directions, seed=p)
+        proj, l2, subsets = {}, {}, {}
+        for threads in (1, 2, 3):
+            proj[threads] = projection_depth(x, dirs, threads)
+            l2[threads] = l2_depth(x, threads)
+            subsets[threads] = [
+                fdb_estimate(x, EstimatorConfig(depth=kind, k=1000, seed=p, threads=threads)).subset
+                for kind in ("projection", "l2")
+            ]
+        assert sorted(set(pools)) == [2, 3]
+        for threads in (2, 3):
+            assert np.array_equal(proj[threads], proj[1])
+            assert np.array_equal(l2[threads], l2[1])
+            assert all(np.array_equal(a, b) for a, b in zip(subsets[threads], subsets[1]))
+
+    def test_more_workers_than_cores_with_frequent_switches(self, rng, one_block_per_worker):
+        # A lost or misplaced write to the shared sums, or a lost maximum,
+        # would change the bits.
+        x = rng.standard_normal((600, 20))
+        dirs = sample_directions(20, 1000, seed=1)
+        expected = projection_depth(x, dirs, 1), l2_depth(x, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = projection_depth(x, dirs, 8), l2_depth(x, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_memory_bounded_per_worker(self, rng, pools, threads):
+        # Each worker holds two blocks, so the single-thread bound of
+        # test_memory_bounded_by_block_budget grows by two blocks per worker.
+        n, p = 5000, 50
+        x = rng.standard_normal((n, p))
+        bound = 2 * threads * depth._BLOCK_BYTES + 8 * n * p + 64 * n
+        assert _peak_bytes(l2_depth, x, threads) < bound
+        dirs = sample_directions(p, 1000, seed=0)
+        assert _peak_bytes(projection_depth, x, dirs, threads) < bound
+        assert pools == [threads, threads]
+
+    def test_thread_count_from_argument_then_environment(self, rng, monkeypatch, pools):
+        x = rng.standard_normal((2000, 20))
+        dirs = sample_directions(20, 1000, seed=0)
+        monkeypatch.delenv("FDB_THREADS", raising=False)
+        projection_depth(x, dirs)
+        assert pools == []
+        monkeypatch.setenv("FDB_THREADS", "3")
+        projection_depth(x, dirs)
+        projection_depth(x, dirs, 2)
+        projection_depth(x, dirs, 1)
+        assert pools == [3, 2]
+
+    def test_small_inputs_run_inline(self, rng, pools):
+        # 400 x 40 is five L2 blocks, too few to pay for a second worker.
+        l2_depth(rng.standard_normal((400, 40)), 2)
+        assert pools == []
+
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_invalid_thread_count(self, rng, monkeypatch, value):
+        monkeypatch.setenv("FDB_THREADS", value)
+        with pytest.raises(ValueError):
+            l2_depth(rng.standard_normal((10, 2)))
+        monkeypatch.delenv("FDB_THREADS")
+        with pytest.raises(ValueError):
+            l2_depth(rng.standard_normal((10, 2)), 0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,21 @@ class TestMahalanobisSq:
         x = rng.standard_normal((100, 3))
         ls = LocationScatter(rng.standard_normal(3), random_spd(rng, 3))
         assert np.all(mahalanobis_sq(x, ls) >= 0.0)
+
+    def test_one_n_by_p_temporary(self, rng):
+        # The solve overwrites the centred data, so the peak is one n x p
+        # array, the solver's finiteness mask (n p bytes) and O(n).
+        n, p = 2000, 200
+        x = rng.standard_normal((n, p))
+        ls = LocationScatter(np.zeros(p), np.eye(p))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mahalanobis_sq(x, ls)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n * p
 
 
 class TestCStep:
@@ -254,6 +270,17 @@ class TestFdbEstimate:
         assert np.max(np.abs(shuffled.estimate.sigma - base.estimate.sigma)) <= 1e-10
         assert np.array_equal(np.sort(perm[shuffled.subset]), base.subset)
 
+    def test_l2_subset_on_tiny_data(self):
+        # L2 depth 1 / (1 + d) is 1.0 for every row once the mean distances
+        # fall below 2**-53; the subset must still follow the data.
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((200, 5))
+        x[:20] += 8.0
+        config = EstimatorConfig(depth="l2")
+        base = fdb_estimate(x, config).subset
+        assert not np.isin(np.arange(20), base).any()
+        assert np.array_equal(fdb_estimate(x * 1e-160, config).subset, base)
+
     def test_consistency_factors_on_clean_data(self, rng):
         # n large, moderate p: c1 corrects the depth-trimmed scatter back to
         # the truth and the reweighted eigenvalues stay close to one.
@@ -282,6 +309,11 @@ class TestEstimatorConfig:
         config = EstimatorConfig(alpha=0.5)
         with pytest.raises(InvalidSubsetSize):
             config.resolve_h(n=8, p=5)  # h = 4 <= p
+
+    def test_thread_count_validated(self):
+        EstimatorConfig(threads=1)
+        with pytest.raises(ValueError):
+            EstimatorConfig(threads=0)
 
     def test_auto_direction_count(self):
         config = EstimatorConfig()
