@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DegenerateData, DimensionError, InvalidSubsetSize
+from .errors import DegenerateData, DimensionError, InvalidSubsetSize, NonFiniteValues
 
 # Byte budget of one working block: each worker thread of projection depth
 # holds two blocks of directions x samples, each worker of L2 depth one block
@@ -98,7 +98,7 @@ def as_data_matrix(data) -> np.ndarray:
     if n < 1 or p < 1:
         raise DimensionError(f"need at least one sample and one variable, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise ValueError("data matrix contains non-finite entries")
+        raise NonFiniteValues("data matrix contains non-finite entries")
     return x
 
 

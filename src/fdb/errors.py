@@ -21,6 +21,10 @@ class DomainError(FdbError):
     """A scalar argument lies outside the mathematical domain."""
 
 
+class NonFiniteValues(FdbError, ValueError):
+    """An input or an intermediate result holds an infinite or NaN entry."""
+
+
 class DimensionError(FdbError):
     """Array shapes are inconsistent with each other or with the operation."""
 

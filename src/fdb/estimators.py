@@ -14,6 +14,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -38,12 +39,14 @@ _DET_TOL = 1e-12
 _MAX_C_STEPS = 100
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocationScatter:
     """A (mu, sigma) estimate with positive definite sigma.
 
     ``provenance`` records the pipeline stage that produced the estimate:
-    raw, reweighted, cstep or oracle.
+    raw, reweighted, cstep or oracle. ``lower`` is the Cholesky factor of
+    sigma, computed on first use and kept; the estimate is frozen so the
+    factor cannot go stale.
     """
 
     mu: np.ndarray
@@ -53,6 +56,10 @@ class LocationScatter:
     @property
     def p(self) -> int:
         return self.mu.shape[0]
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        return numeric.cholesky(self.sigma)
 
 
 @dataclass
@@ -152,10 +159,13 @@ def subset_mean_cov(
         raise InvalidSubsetSize(f"subset of size {h} is too small for denominator {denominator}")
     rows = x[idx]
     mu = rows.mean(axis=0)
-    centered = rows - mu
-    sigma = numeric.symmetrize(centered.T @ centered / div)
+    rows -= mu
+    cross = rows.T @ rows / div
+    del rows  # frees the h x p copy before the p x p work
+    sigma = numeric.symmetrize(cross)
+    estimate = LocationScatter(mu, sigma, provenance)
     try:
-        numeric.cholesky(sigma)
+        estimate.lower  # the positive-definiteness check
     except NotPositiveDefinite as exc:
         if not ridge:
             raise SingularCovariance(
@@ -163,13 +173,14 @@ def subset_mean_cov(
             ) from None
         bump = _RIDGE_SCALE * float(np.trace(sigma)) / sigma.shape[0]
         sigma = numeric.symmetrize(sigma + bump * np.eye(sigma.shape[0]))
+        estimate = LocationScatter(mu, sigma, provenance)
         try:
-            numeric.cholesky(sigma)
+            estimate.lower
         except NotPositiveDefinite as exc2:
             raise SingularCovariance(
                 f"subset covariance is singular even after ridge repair ({exc2})"
             ) from None
-    return LocationScatter(mu, sigma, provenance)
+    return estimate
 
 
 def mahalanobis_sq(data, ls: LocationScatter) -> np.ndarray:
@@ -183,10 +194,9 @@ def mahalanobis_sq(data, ls: LocationScatter) -> np.ndarray:
         raise DimensionError(
             f"data dimension {x.shape[1]} does not match estimate dimension {ls.p}"
         )
-    lower = numeric.cholesky(ls.sigma)
     # The centred transpose is Fortran-ordered, so the solve overwrites it
     # and one n x p array is alive at a time.
-    z = solve_triangular(lower, (x - ls.mu).T, lower=True, overwrite_b=True)
+    z = solve_triangular(ls.lower, (x - ls.mu).T, lower=True, overwrite_b=True)
     return np.einsum("ij,ij->j", z, z)
 
 
@@ -235,7 +245,7 @@ def iterate_c_steps(data, start: LocationScatter, h: int, max_iter: int = _MAX_C
         subset = new_subset
         state = subset_mean_cov(x, subset, "h-1", provenance="cstep")
         iterations += 1
-        logdet = numeric.log_determinant(numeric.cholesky(state.sigma))
+        logdet = numeric.log_determinant(state.lower)
         if prev_logdet is not None and prev_logdet - logdet < _DET_TOL:
             break
         prev_logdet = logdet
@@ -262,15 +272,8 @@ def reweight(data, ls: LocationScatter) -> ReweightResult:
         raise TooFewWeightedSamples(
             f"reweighting kept {kept} samples, need more than {p + 1}"
         )
-    rows = x[weights.astype(bool)]
-    mu = rows.sum(axis=0) / kept
-    centered = rows - mu
-    sigma = numeric.symmetrize(centered.T @ centered / (kept - 1))
-    try:
-        numeric.cholesky(sigma)
-    except NotPositiveDefinite as exc:
-        raise SingularCovariance(f"reweighted covariance is singular ({exc})") from None
-    return ReweightResult(weights, c0, LocationScatter(mu, sigma, "reweighted"))
+    estimate = subset_mean_cov(x, np.flatnonzero(weights), "h-1", provenance="reweighted")
+    return ReweightResult(weights, c0, estimate)
 
 
 def _consistency_factor(d2: np.ndarray, p: int, purpose: str) -> float:
@@ -283,9 +286,9 @@ def _consistency_factor(d2: np.ndarray, p: int, purpose: str) -> float:
 
 
 def _consistency_scale(data, raw: LocationScatter) -> "tuple[float, LocationScatter]":
-    # Rescales sigma0 by c1.
+    # Rescales sigma0 by c1; the product keeps sigma0's exact symmetry.
     c1 = _consistency_factor(mahalanobis_sq(data, raw), raw.p, "scale scatter")
-    scaled = LocationScatter(raw.mu, numeric.symmetrize(c1 * raw.sigma), "raw")
+    scaled = LocationScatter(raw.mu, c1 * raw.sigma, "raw")
     return c1, scaled
 
 
@@ -398,7 +401,7 @@ def fastmcd_baseline(
             subset, state = c_step(x, state, h)
         except SingularCovariance:
             continue
-        logdet = numeric.log_determinant(numeric.cholesky(state.sigma))
+        logdet = numeric.log_determinant(state.lower)
         candidates.append((logdet, s, subset, state))
     if not candidates:
         raise DegenerateData("every elemental start produced a singular covariance")
@@ -411,7 +414,7 @@ def fastmcd_baseline(
             subset, state, _ = iterate_c_steps(x, state, h)
         except SingularCovariance:
             continue
-        logdet = numeric.log_determinant(numeric.cholesky(state.sigma))
+        logdet = numeric.log_determinant(state.lower)
         if logdet < best_logdet:
             best_logdet = logdet
             best_subset = subset

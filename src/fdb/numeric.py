@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 from scipy.special import gammaincinv
 
 from .errors import (
@@ -20,6 +21,7 @@ from .errors import (
     DimensionError,
     DomainError,
     EmptyInput,
+    NonFiniteValues,
     NotPositiveDefinite,
 )
 
@@ -40,7 +42,7 @@ def _as_finite_vector(values) -> np.ndarray:
     if v.size == 0:
         raise EmptyInput("need at least one value")
     if not np.all(np.isfinite(v)):
-        raise ValueError("input contains non-finite values")
+        raise NonFiniteValues("input contains non-finite values")
     return v
 
 
@@ -75,7 +77,7 @@ def check_symmetric(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
+        raise NonFiniteValues("matrix contains non-finite entries")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
     return a
@@ -92,22 +94,6 @@ def _pivot_tolerance(a: np.ndarray) -> float:
     return a.shape[0] * np.finfo(float).eps * float(np.max(np.diagonal(a)))
 
 
-def _failing_pivot(a: np.ndarray, tol: float) -> int:
-    # Unblocked factorization used only to locate the offending pivot after
-    # the fast path has failed.
-    p = a.shape[0]
-    lower = np.zeros_like(a)
-    for j in range(p):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if not np.isfinite(pivot) or pivot <= tol:
-            return j
-        ljj = np.sqrt(pivot)
-        lower[j, j] = ljj
-        if j + 1 < p:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
-    return p - 1
-
-
 def cholesky(m) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
@@ -115,21 +101,15 @@ def cholesky(m) -> np.ndarray:
     falls at or below p * machine epsilon * max diagonal entry.
     """
     a = check_symmetric(m)
-    tol = _pivot_tolerance(a)
-    try:
-        lower = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        idx = _failing_pivot(a, tol)
+    lower, info = dpotrf(a, lower=True, clean=True)
+    # info > 0: LAPACK met a non-positive pivot at index info - 1 and left
+    # the pivots before it on the diagonal.
+    done = info - 1 if info > 0 else a.shape[0]
+    small = np.flatnonzero(np.diagonal(lower)[:done] ** 2 <= _pivot_tolerance(a))
+    if small.size or info > 0:
+        idx = int(small[0]) if small.size else done
         raise NotPositiveDefinite(
             f"matrix is not positive definite (pivot {idx})", pivot_index=idx
-        ) from None
-    pivots = np.diagonal(lower) ** 2
-    bad = np.flatnonzero(pivots <= tol)
-    if bad.size:
-        idx = int(bad[0])
-        raise NotPositiveDefinite(
-            f"matrix is numerically singular (pivot {idx} = {pivots[idx]:.3e})",
-            pivot_index=idx,
         )
     return lower
 

@@ -14,7 +14,7 @@ from fdb.depth import (
     projection_depth,
     sample_directions,
 )
-from fdb.errors import DegenerateData, DimensionError, InvalidSubsetSize
+from fdb.errors import DegenerateData, DimensionError, InvalidSubsetSize, NonFiniteValues
 from oracles import l2_depth_reference, projection_depth_reference
 
 
@@ -96,6 +96,12 @@ class TestProjectionDepth:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
             projection_depth(rng.standard_normal((5, 3)), sample_directions(2, 10, seed=0))
+
+    def test_non_finite_data_rejected(self, rng):
+        data = rng.standard_normal((5, 2))
+        data[3, 1] = np.nan
+        with pytest.raises(NonFiniteValues):
+            projection_depth(data, sample_directions(2, 10, seed=0))
 
     def test_permutation_equivariance(self, rng):
         data = rng.standard_normal((60, 4))

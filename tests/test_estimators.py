@@ -1,11 +1,14 @@
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
+from fdb import numeric
 from fdb.errors import (
     InvalidSubsetSize,
+    NonFiniteValues,
     OracleTooLarge,
     SingularCovariance,
     TooFewWeightedSamples,
@@ -72,6 +75,21 @@ class TestSubsetMeanCov:
         ls = subset_mean_cov(x, [0, 1, 2], "h-1", ridge=True)
         cholesky(ls.sigma)  # repaired covariance must be SPD
 
+    def test_one_h_by_p_copy(self, rng):
+        # The selected rows are centred in place and freed before the
+        # p x p work, so the peak is one h x p array plus O(p^2).
+        n, p, h = 2000, 200, 1500
+        x = rng.standard_normal((n, p))
+        subset = np.sort(rng.choice(n, size=h, replace=False))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            subset_mean_cov(x, subset, "h-1")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * h * p
+
 
 class TestMahalanobisSq:
     def test_identity_scatter(self):
@@ -107,6 +125,58 @@ class TestMahalanobisSq:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * 8 * n * p
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Matrices passed to numeric.cholesky, in call order."""
+    calls = []
+    original = numeric.cholesky
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(numeric, "cholesky", counting)
+    return calls
+
+
+class TestFactorOnce:
+    def test_factor_is_computed_once(self, rng, cholesky_calls):
+        ls = LocationScatter(np.zeros(4), random_spd(rng, 4))
+        assert ls.lower is ls.lower
+        assert np.array_equal(ls.lower, cholesky(ls.sigma))
+        assert len(cholesky_calls) == 1
+
+    def test_factor_is_lazy(self):
+        # An estimate can hold a sigma that is not exactly symmetric; only
+        # its factor is refused.
+        ls = LocationScatter(np.zeros(2), np.array([[1.0, 0.1], [0.2, 1.0]]))
+        with pytest.raises(ValueError):
+            ls.lower
+
+    def test_frozen(self):
+        ls = LocationScatter(np.zeros(2), np.eye(2))
+        with pytest.raises(FrozenInstanceError):
+            ls.sigma = 2.0 * np.eye(2)
+
+    @pytest.mark.parametrize("depth", ["projection", "l2"])
+    @pytest.mark.parametrize("do_reweight, factors", [(True, 3), (False, 2)])
+    def test_fdb_estimate_factors_each_scatter_once(
+        self, rng, cholesky_calls, depth, do_reweight, factors
+    ):
+        x = rng.standard_normal((200, 5))
+        fdb_estimate(x, EstimatorConfig(depth=depth, k=200, reweight=do_reweight))
+        assert len(cholesky_calls) == factors
+
+    def test_iterate_c_steps_factors_each_estimate_once(self, rng, cholesky_calls):
+        x = rng.standard_normal((120, 4))
+        x[:20] += 6.0
+        start = subset_mean_cov(x, np.arange(20, 110), "h-1")
+        cholesky_calls.clear()
+        _, _, iterations = iterate_c_steps(x, start, 90)
+        assert iterations > 1
+        assert len(cholesky_calls) == iterations
 
 
 class TestCStep:
@@ -251,6 +321,15 @@ class TestFdbEstimate:
         with pytest.raises(SingularCovariance) as exc:
             fdb_estimate(x, EstimatorConfig(depth="l2"))
         assert exc.value.stage == "scatter"
+
+    @pytest.mark.parametrize("depth", ["projection", "l2"])
+    def test_overflowing_scatter_is_tagged(self, rng, depth):
+        # The covariance of data scaled by 1e160 overflows.
+        x = rng.standard_normal((200, 5)) * 1e160
+        with pytest.raises(NonFiniteValues) as exc, np.errstate(over="ignore"):
+            fdb_estimate(x, EstimatorConfig(depth=depth))
+        assert exc.value.stage == "scatter"
+        assert isinstance(exc.value, ValueError)
 
     def test_rigid_motion_equivariance_l2(self, rng):
         x = rng.standard_normal((120, 3)) @ np.diag([1.0, 2.0, 0.5])

@@ -8,6 +8,7 @@ from fdb.errors import (
     DimensionError,
     DomainError,
     EmptyInput,
+    NonFiniteValues,
     NotPositiveDefinite,
 )
 from fdb.numeric import (
@@ -120,6 +121,30 @@ class TestCholesky:
             cholesky([[1.0, 2.0], [2.0, 1.0]])
         assert exc.value.pivot_index == 1
 
+    def test_pivot_below_tolerance_before_lapack_failure(self):
+        # LAPACK stops at the negative pivot 2; pivot 1 was already at or
+        # below p * eps * max(diag).
+        with pytest.raises(NotPositiveDefinite) as exc:
+            cholesky(np.diag([1.0, 1e-20, -1.0]))
+        assert exc.value.pivot_index == 1
+
+    def test_pivot_of_lapack_failure(self):
+        with pytest.raises(NotPositiveDefinite) as exc:
+            cholesky(np.diag([1.0, 1.0, -1.0]))
+        assert exc.value.pivot_index == 2
+
+    @pytest.mark.parametrize("p", [1, 5, 40, 200])
+    def test_matches_numpy(self, rng, p):
+        for _ in range(5):
+            m = random_spd(rng, p)
+            expected = np.linalg.cholesky(m)
+            lower = cholesky(m)
+            assert np.max(np.abs(lower - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(NonFiniteValues):
+            cholesky([[1.0, np.inf], [np.inf, 1.0]])
+
     def test_near_singular_rejected(self):
         # Rank-1 outer product: second pivot is zero up to roundoff.
         v = np.array([1.0, 2.0])
@@ -129,6 +154,12 @@ class TestCholesky:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             cholesky([[1.0, 0.1], [0.2, 1.0]])
+
+
+def test_non_finite_values_are_value_errors():
+    with pytest.raises(NonFiniteValues) as exc:
+        median([1.0, np.nan])
+    assert isinstance(exc.value, ValueError)
 
 
 class TestLogDeterminant:
