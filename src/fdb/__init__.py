@@ -65,7 +65,6 @@ from .numeric import (
     log_determinant,
     mad,
     median,
-    solve_spd,
 )
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import numeric
 from .errors import DegenerateData, DimensionError, InvalidSubsetSize, NonFiniteValues
 
 # Byte budget of one working block: each worker thread of projection depth
@@ -31,8 +32,12 @@ _BLOCK_BYTES = 256 * 1024
 # A worker thread costs about 80 us to start and join, and on a two-vCPU host
 # the workers also queue for the interpreter lock between numpy calls. So the
 # kernels add a worker only per this many blocks. A projection block (two
-# partitions per direction) takes about 0.5 ms, and two workers gained from
-# 4 blocks on (n = 100, p = 10: 2.13 -> 1.74 ms) but not at 2. An L2 block
+# single-kth selections per direction) takes 0.15-0.2 ms, 0.3 ms at p = 200.
+# Two workers gain where the matrix product is a large share of a block:
+# 0.67x the one-worker time at n = 2000, p = 200 (125 blocks) and 0.77x at
+# n = 400, p = 200 (25 blocks). With p <= 100 and k = 1000 they took 1.04x
+# to 1.39x the time from 4 to 63 blocks (n = 100 to 2000). The block count
+# alone does not separate these cases, so the count stays at 2. An L2 block
 # takes 0.05-0.15 ms, and two workers lost at 8 blocks for p = 5 (0.51 ->
 # 0.63 ms) and gained from 16 on at p = 5 and 100 (0.82x, 0.69x).
 _PROJECTION_BLOCKS_PER_WORKER = 2
@@ -179,10 +184,10 @@ def projection_depth(data, dirs: DirectionSet, threads: "int | None" = None) -> 
             dev = proj[: block.shape[0]]
             part = work[: block.shape[0]]
             np.matmul(block, x.T, out=dev)
-            med = _row_medians(dev, part)
+            med = numeric.row_medians(dev, part)
             np.subtract(dev, med[:, None], out=dev)
             np.abs(dev, out=dev)
-            madv = _row_medians(dev, part)
+            madv = numeric.row_medians(dev, part)
             # A zero-MAD direction divides by infinity and contributes 0,
             # which never raises the nonnegative running maximum.
             zero = madv == 0.0
@@ -203,21 +208,6 @@ def projection_depth(data, dirs: DirectionSet, threads: "int | None" = None) -> 
     for other, _ in results[1:]:
         np.maximum(outlyingness, other, out=outlyingness)
     return 1.0 / (1.0 + outlyingness)
-
-
-def _row_medians(values: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Median of each row, equal bit for bit to ``np.median(values, axis=1)``.
-
-    ``work`` (same shape) is overwritten by a partitioned copy; even
-    lengths average the two central order statistics as np.median does.
-    """
-    n = values.shape[1]
-    lo, hi = (n - 1) // 2, n // 2
-    np.copyto(work, values)
-    work.partition((lo, hi), axis=1)
-    if lo == hi:
-        return work[:, hi].copy()
-    return (work[:, lo] + work[:, hi]) / 2.0
 
 
 def l2_depth(data, threads: "int | None" = None, *, return_mean_distance: bool = False):

@@ -25,6 +25,10 @@ class NonFiniteValues(FdbError, ValueError):
     """An input or an intermediate result holds an infinite or NaN entry."""
 
 
+class InvalidConfig(FdbError, ValueError):
+    """An estimator configuration holds an out-of-range or unknown setting."""
+
+
 class DimensionError(FdbError):
     """Array shapes are inconsistent with each other or with the operation."""
 

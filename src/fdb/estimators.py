@@ -27,6 +27,7 @@ from .errors import (
     DegenerateData,
     DimensionError,
     FdbError,
+    InvalidConfig,
     InvalidSubsetSize,
     NotPositiveDefinite,
     OracleTooLarge,
@@ -83,11 +84,11 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if not 0.5 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0.5, 1], got {self.alpha}")
+            raise InvalidConfig(f"alpha must lie in [0.5, 1], got {self.alpha}")
         if self.depth not in ("projection", "l2"):
-            raise ValueError(f"unknown depth notion {self.depth!r}")
+            raise InvalidConfig(f"unknown depth notion {self.depth!r}")
         if self.threads is not None and self.threads < 1:
-            raise ValueError(f"thread count must be positive, got {self.threads}")
+            raise InvalidConfig(f"thread count must be positive, got {self.threads}")
 
     def resolve_h(self, n: int, p: int) -> int:
         h = self.h if self.h is not None else int(math.floor(self.alpha * n))
@@ -160,9 +161,11 @@ def subset_mean_cov(
     rows = x[idx]
     mu = rows.mean(axis=0)
     rows -= mu
-    cross = rows.T @ rows / div
+    # numpy takes a product of an array with its own transpose as one
+    # symmetric rank-k update and mirrors it, so sigma is exactly symmetric.
+    sigma = rows.T @ rows
     del rows  # frees the h x p copy before the p x p work
-    sigma = numeric.symmetrize(cross)
+    sigma /= div
     estimate = LocationScatter(mu, sigma, provenance)
     try:
         estimate.lower  # the positive-definiteness check
@@ -279,7 +282,7 @@ def reweight(data, ls: LocationScatter) -> ReweightResult:
 def _consistency_factor(d2: np.ndarray, p: int, purpose: str) -> float:
     # c = med_i D^2(x_i) / chi2_{p, 0.5}: the factor that makes the median
     # squared distance match the chi-square median.
-    c = float(np.median(d2)) / numeric.chi_square_quantile(p, 0.5)
+    c = float(numeric.row_medians(d2)) / numeric.chi_square_quantile(p, 0.5)
     if c <= 0.0:
         raise SingularCovariance(f"median squared distance is zero; cannot {purpose}")
     return c
@@ -391,35 +394,36 @@ def fastmcd_baseline(
     if n_starts < 1:
         raise ValueError(f"need at least one start, got {n_starts}")
 
-    candidates = []  # (logdet, start index, subset, state)
-    for s in range(n_starts):
-        rng = np.random.default_rng((seed, s))
-        elemental = np.sort(rng.choice(n, size=p + 1, replace=False))
-        try:
-            state = subset_mean_cov(x, elemental, "h-1", ridge=True, provenance="cstep")
-            subset, state = c_step(x, state, h)
-            subset, state = c_step(x, state, h)
-        except SingularCovariance:
-            continue
-        logdet = numeric.log_determinant(state.lower)
-        candidates.append((logdet, s, subset, state))
-    if not candidates:
-        raise DegenerateData("every elemental start produced a singular covariance")
+    with _stage("subset"):
+        candidates = []  # (logdet, start index, subset, state)
+        for s in range(n_starts):
+            rng = np.random.default_rng((seed, s))
+            elemental = np.sort(rng.choice(n, size=p + 1, replace=False))
+            try:
+                state = subset_mean_cov(x, elemental, "h-1", ridge=True, provenance="cstep")
+                subset, state = c_step(x, state, h)
+                subset, state = c_step(x, state, h)
+            except SingularCovariance:
+                continue
+            logdet = numeric.log_determinant(state.lower)
+            candidates.append((logdet, s, subset, state))
+        if not candidates:
+            raise DegenerateData("every elemental start produced a singular covariance")
 
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    best_logdet = np.inf
-    best_subset = None
-    for _, _, subset, state in candidates[:10]:
-        try:
-            subset, state, _ = iterate_c_steps(x, state, h)
-        except SingularCovariance:
-            continue
-        logdet = numeric.log_determinant(state.lower)
-        if logdet < best_logdet:
-            best_logdet = logdet
-            best_subset = subset
-    if best_subset is None:
-        raise DegenerateData("no start could be concentrated to a non-singular subset")
+        candidates.sort(key=lambda item: (item[0], item[1]))
+        best_logdet = np.inf
+        best_subset = None
+        for _, _, subset, state in candidates[:10]:
+            try:
+                subset, state, _ = iterate_c_steps(x, state, h)
+            except SingularCovariance:
+                continue
+            logdet = numeric.log_determinant(state.lower)
+            if logdet < best_logdet:
+                best_logdet = logdet
+                best_subset = subset
+        if best_subset is None:
+            raise DegenerateData("no start could be concentrated to a non-singular subset")
     t_subset = time.perf_counter()
     return _finish_report(x, best_subset, reweight_estimate, t0, t_subset, "fastmcd")
 

@@ -23,6 +23,7 @@ from .depth import as_data_matrix
 from .errors import (
     DimensionError,
     FdbError,
+    InvalidConfig,
     InvalidContamination,
     SingularTransform,
 )
@@ -349,6 +350,8 @@ def run_benchmark(
         def one(rep: int, cell=cell):
             try:
                 return run_replicate(cell, rep, seed, alpha=alpha, settings=settings)
+            except InvalidConfig:
+                raise  # a bad setting fails every replicate alike
             except FdbError:
                 return None
 

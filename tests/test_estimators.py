@@ -7,6 +7,9 @@ import pytest
 
 from fdb import numeric
 from fdb.errors import (
+    DegenerateData,
+    FdbError,
+    InvalidConfig,
     InvalidSubsetSize,
     NonFiniteValues,
     OracleTooLarge,
@@ -89,6 +92,15 @@ class TestSubsetMeanCov:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * 8 * h * p
+
+    @pytest.mark.parametrize("h,p", [(2, 1), (7, 3), (50, 5), (300, 40), (1500, 200)])
+    def test_sigma_exactly_symmetric(self, rng, h, p):
+        # The Gram product is not symmetrized; it must come out symmetric.
+        x = rng.standard_normal((h + 10, p)) * rng.uniform(0.1, 10.0, size=p) + 3.0
+        subset = np.sort(rng.choice(h + 10, size=h, replace=False))
+        for denominator in ("h", "h-1"):
+            sigma = subset_mean_cov(x, subset, denominator).sigma
+            assert np.array_equal(sigma, sigma.T)
 
 
 class TestMahalanobisSq:
@@ -372,6 +384,14 @@ class TestFdbEstimate:
 
 
 class TestEstimatorConfig:
+    @pytest.mark.parametrize(
+        "settings", [{"alpha": 2}, {"depth": "halfspace"}, {"threads": 0}]
+    )
+    def test_invalid_settings_raise_invalid_config(self, settings):
+        with pytest.raises(InvalidConfig) as exc:
+            EstimatorConfig(**settings)
+        assert isinstance(exc.value, FdbError) and isinstance(exc.value, ValueError)
+
     def test_alpha_bounds(self):
         EstimatorConfig(alpha=0.5)
         EstimatorConfig(alpha=1.0)
@@ -403,11 +423,19 @@ class TestEstimatorConfig:
 
 class TestFastMcdBaseline:
     def test_degenerate_when_every_start_is_singular(self):
-        from fdb.errors import DegenerateData
-
         x = np.ones((30, 3))  # zero trace: ridge repair cannot help
-        with pytest.raises(DegenerateData):
+        with pytest.raises(DegenerateData) as exc:
             fastmcd_baseline(x, h=20, n_starts=10, seed=0)
+        assert exc.value.stage == "subset"
+
+    def test_exact_fit_is_tagged(self, rng):
+        # 250 of 300 rows identical (an exact fit): the 225 rows nearest to
+        # each start are copies of one row, so every start ends singular.
+        x = rng.standard_normal((300, 5))
+        x[:250] = x[0]
+        with pytest.raises(DegenerateData) as exc:
+            fastmcd_baseline(x, h=225, n_starts=20, seed=0)
+        assert exc.value.stage == "subset"
 
     def test_matches_enumeration_on_small_instance(self):
         x, h = twelve_point_instance()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fdb.errors import InvalidContamination, SingularTransform
+from fdb.errors import InvalidConfig, InvalidContamination, SingularTransform
 from fdb.estimators import LocationScatter
 from fdb.evaluation import (
     BenchmarkCell,
@@ -208,6 +208,12 @@ class TestRunBenchmark:
             if row_s.metric == "seconds":
                 continue
             assert row_s.mean == row_p.mean and row_s.sd == row_p.sd
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_invalid_alpha_is_raised_not_counted(self, threads):
+        cells = [BenchmarkCell("A", "cluster", 0.1, 5.0, "fdb-l2")]
+        with pytest.raises(InvalidConfig):
+            run_benchmark(cells, replicates=2, seed=1, alpha=2.0, threads=threads)
 
     def test_epsilon_zero_normalizes_to_clean_cell(self):
         rows = run_benchmark(

@@ -19,7 +19,7 @@ from fdb.numeric import (
     log_determinant,
     mad,
     median,
-    solve_spd,
+    row_medians,
 )
 from oracles import (
     cofactor_determinant,
@@ -69,6 +69,52 @@ class TestMad:
         reference = mad(values)
         for _ in range(20):
             assert mad(rng.permutation(values)) == reference
+
+
+def _median_rows(n, rng):
+    """Rows of length n that stress a selection: draws, ties, one repeated
+    value, signed zeros, and values near +-1e300."""
+    return np.stack(
+        [
+            rng.standard_normal(n),
+            np.round(2.0 * rng.standard_normal(n)),
+            np.full(n, 3.25),
+            rng.choice([-0.0, 0.0], size=n),
+            rng.choice([-0.0, 0.0, -1.0, 1.0], size=n),
+            rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 1.5, size=n) * 1e300,
+            rng.uniform(0.5, 1.5, size=n) * 1e300,
+        ]
+    )
+
+
+class TestRowMedians:
+    """``row_medians`` against np.median. For NaN-free floats, == holds
+    exactly when the bits agree or both values are zeros of either sign, so
+    array_equal checks bit equality up to the sign of a zero median."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2000, 2001])
+    def test_equals_np_median(self, rng, n):
+        values = _median_rows(n, rng)
+        before = values.copy()
+        work = np.empty_like(values)
+        want = np.median(values, axis=1)
+        assert np.array_equal(row_medians(values, work), want)
+        assert np.array_equal(row_medians(values), want)
+        assert np.array_equal(values, before, equal_nan=False)
+        for row, expected in zip(values, want):
+            assert np.array_equal(row_medians(row), expected)
+            assert median(row) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2000, 2001])
+    def test_mad_bitwise_equals_np_median(self, rng, n):
+        # Absolute deviations carry no negative zero, so here the bits agree.
+        values = _median_rows(n, rng)
+        dev = np.abs(values - row_medians(values)[:, None])
+        want = np.median(np.abs(values - np.median(values, axis=1)[:, None]), axis=1)
+        got = row_medians(dev, np.empty_like(dev))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for row, expected in zip(values, want):
+            assert np.float64(mad(row)).view(np.int64) == expected.view(np.int64)
 
 
 class TestChiSquareQuantile:
@@ -180,28 +226,6 @@ class TestLogDeterminant:
             m = random_spd(rng, p)
             expected = math.log(cofactor_determinant(m))
             assert log_determinant(cholesky(m)) == pytest.approx(expected, abs=1e-9)
-
-
-class TestSolveSpd:
-    def test_identity(self):
-        rhs = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(solve_spd(cholesky(np.eye(3)), rhs), rhs)
-
-    def test_diagonal(self):
-        x = solve_spd(cholesky(np.diag([4.0, 1.0])), [8.0, 3.0])
-        assert np.allclose(x, [2.0, 3.0], atol=1e-14)
-
-    def test_residual_random_systems(self, rng):
-        for _ in range(50):
-            p = int(rng.integers(1, 40))
-            m = random_spd(rng, p)
-            rhs = rng.standard_normal(p)
-            x = solve_spd(cholesky(m), rhs)
-            assert np.linalg.norm(m @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            solve_spd(cholesky(np.eye(3)), [1.0, 2.0])
 
 
 class TestEigenSymmetric:
