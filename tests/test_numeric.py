@@ -100,7 +100,7 @@ class TestRowMedians:
         want = np.median(values, axis=1)
         assert np.array_equal(row_medians(values, work), want)
         assert np.array_equal(row_medians(values), want)
-        assert np.array_equal(values, before, equal_nan=False)
+        assert np.array_equal(values, before)
         for row, expected in zip(values, want):
             assert np.array_equal(row_medians(row), expected)
             assert median(row) == expected
