@@ -5,7 +5,6 @@ import pytest
 
 from fdb.errors import (
     ConvergenceFailure,
-    DimensionError,
     DomainError,
     EmptyInput,
     NonFiniteValues,
