@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import os
@@ -40,36 +41,77 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def read_matrix_csv(path: str) -> np.ndarray:
-    """Read a numeric CSV into an (n, p) matrix.
+def _split(line: str) -> list:
+    return [cell.strip() for cell in line.split(",")]
 
-    A header row (any cell that does not parse as a number) is skipped;
-    NaN or infinite cells are hard errors reported with row and column.
-    """
+
+def _is_header(line: str) -> bool:
+    """True if any cell of the line does not parse as a number."""
     try:
-        with open(path, "r", newline="") as fh:
-            lines = [line for line in fh.read().splitlines() if line.strip()]
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        for cell in _split(line):
+            float(cell)
+    except ValueError:
+        return True
+    return False
+
+
+def _other_line_break(line: str) -> bool:
+    """True if the line holds a break that str.splitlines() honours besides
+    "\\n", "\\r" and "\\r\\n". Universal newlines keep such a break inside
+    the line, where np.loadtxt would strip it as whitespace around a cell
+    instead of starting a new row."""
+    return (
+        "\v" in line or "\f" in line or "\x1c" in line or "\x1d" in line or "\x1e" in line
+        or not line.isascii() and ("\x85" in line or "\u2028" in line or "\u2029" in line)
+    )
+
+
+def _data_lines(fh):
+    """Yield the lines of ``fh`` that hold data: blank lines and a header
+    are dropped. Raises ValueError at a line with an _other_line_break."""
+    first = True
+    for line in fh:
+        if _other_line_break(line):
+            raise ValueError("line break that np.loadtxt does not split on")
+        if line.isspace():
+            continue
+        if first:
+            first = False
+            if _is_header(line):
+                continue
+        yield line
+
+
+def _loadtxt(fh) -> "np.ndarray | None":
+    """The data of ``fh`` as parsed by numpy's C reader, or None if it
+    rejects the file, finds a non-finite cell or no data rows."""
+    lines = _data_lines(fh)
+    try:
+        first = next(lines, None)
+        if first is None:
+            return None
+        matrix = np.loadtxt(
+            itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    return matrix if np.isfinite(matrix).all() else None
+
+
+def _parse_cells(path: str, lines: list) -> np.ndarray:
+    """Parse ``lines`` one cell at a time, raising InputError with the row
+    and column of the first fault. Rows count the non-blank lines."""
+    lines = [line for line in lines if line.strip()]
     if not lines:
         raise InputError(f"{path}: file contains no data rows")
-
-    def split(line):
-        return [cell.strip() for cell in line.split(",")]
-
-    start = 0
-    first = split(lines[0])
-    try:
-        [float(cell) for cell in first]
-    except ValueError:
-        start = 1
+    start = 1 if _is_header(lines[0]) else 0
     if start == len(lines):
         raise InputError(f"{path}: file contains a header but no data rows")
 
-    width = len(split(lines[start]))
+    width = len(_split(lines[start]))
     rows = []
     for i in range(start, len(lines)):
-        cells = split(lines[i])
+        cells = _split(lines[i])
         if len(cells) != width:
             raise InputError(
                 f"{path}: row {i + 1} has {len(cells)} columns, expected {width}"
@@ -89,6 +131,32 @@ def read_matrix_csv(path: str) -> np.ndarray:
             values.append(value)
         rows.append(values)
     return np.asarray(rows, dtype=float)
+
+
+def read_matrix_csv(path: str) -> np.ndarray:
+    """Read a numeric UTF-8 CSV into an (n, p) matrix.
+
+    A leading byte-order mark and blank lines are ignored. Cells are
+    numbers as Python's float() reads them. The first non-blank line is a
+    header, and skipped, if any of its cells is not a number. A malformed,
+    NaN or infinite cell is a hard error that names its row and column, a
+    ragged row one that names its row.
+
+    numpy's C reader parses the file. The per-cell loop runs only when it
+    rejects the file or finds a non-finite cell: the loop then names the
+    fault, or reads what only float() accepts, such as "1_000".
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            matrix = _loadtxt(fh)
+            if matrix is None:
+                fh.seek(0)
+                matrix = _parse_cells(path, fh.read().splitlines())
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+    return matrix
 
 
 def read_labels_csv(path: str, n: int) -> np.ndarray:

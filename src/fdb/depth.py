@@ -17,7 +17,13 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import numeric
-from .errors import DegenerateData, DimensionError, InvalidSubsetSize, NonFiniteValues
+from .errors import (
+    DegenerateData,
+    DimensionError,
+    InvalidConfig,
+    InvalidSubsetSize,
+    NonFiniteValues,
+)
 
 # Byte budget of one working block: each worker thread of projection depth
 # holds two blocks of directions x samples, each worker of L2 depth one block
@@ -71,9 +77,9 @@ def _worker_count(threads: "int | None") -> int:
         try:
             threads = int(env)
         except ValueError:
-            raise ValueError(f"FDB_THREADS must be a positive integer, got {env!r}") from None
+            raise InvalidConfig(f"FDB_THREADS must be a positive integer, got {env!r}") from None
     if threads < 1:
-        raise ValueError(f"thread count must be positive, got {threads}")
+        raise InvalidConfig(f"thread count must be positive, got {threads}")
     return threads
 
 
@@ -132,7 +138,7 @@ def sample_directions(p: int, k: int, seed: int) -> DirectionSet:
     if p < 1:
         raise DimensionError(f"dimension must be positive, got {p}")
     if k < 1:
-        raise ValueError(f"direction count must be positive, got {k}")
+        raise InvalidConfig(f"direction count must be positive, got {k}")
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((k, p))
     norms = _row_norms(u)

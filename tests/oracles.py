@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths it is used to check:
 the chi-square CDF is an adaptive quadrature of the density, determinants
 come from cofactor expansion, covariances from two-pass summation loops,
-Mahalanobis distances from an explicit matrix inverse, and depths from
-np.median and pairwise differences.
+Mahalanobis distances from an explicit matrix inverse, depths from
+np.median and pairwise differences, and CSV matrices from one float() call
+per cell.
 """
 
 import math
@@ -13,6 +14,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.spatial.distance import cdist
+
+from fdb.cli import InputError
 
 
 def chi_square_cdf_quadrature(dof: int, x: float) -> float:
@@ -129,3 +132,51 @@ def l2_depth_reference(x) -> np.ndarray:
     """L2 depth from the full matrix of pairwise Euclidean distances."""
     x = np.asarray(x, dtype=float)
     return 1.0 / (1.0 + cdist(x, x).sum(axis=1) / x.shape[0])
+
+
+def read_matrix_csv_reference(path: str) -> np.ndarray:
+    """The per-cell CSV reader: every cell through float(), every fault an
+    InputError naming its row and column (rows count non-blank lines)."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            lines = [line for line in fh.read().splitlines() if line.strip()]
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    if not lines:
+        raise InputError(f"{path}: file contains no data rows")
+
+    def split(line):
+        return [cell.strip() for cell in line.split(",")]
+
+    start = 0
+    first = split(lines[0])
+    try:
+        [float(cell) for cell in first]
+    except ValueError:
+        start = 1
+    if start == len(lines):
+        raise InputError(f"{path}: file contains a header but no data rows")
+
+    width = len(split(lines[start]))
+    rows = []
+    for i in range(start, len(lines)):
+        cells = split(lines[i])
+        if len(cells) != width:
+            raise InputError(
+                f"{path}: row {i + 1} has {len(cells)} columns, expected {width}"
+            )
+        values = []
+        for j, cell in enumerate(cells):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise InputError(
+                    f"{path}: row {i + 1}, column {j + 1}: {cell!r} is not a number"
+                ) from None
+            if not math.isfinite(value):
+                raise InputError(
+                    f"{path}: row {i + 1}, column {j + 1}: non-finite value {cell!r}"
+                )
+            values.append(value)
+        rows.append(values)
+    return np.asarray(rows, dtype=float)

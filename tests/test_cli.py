@@ -1,14 +1,19 @@
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fdb import applications, depth
-from fdb.cli import main
+from fdb import applications, cli, depth
+from fdb.cli import InputError, main
 from fdb.estimators import EstimatorConfig, fdb_estimate
+from oracles import read_matrix_csv_reference
 
 CROSS_CSV = "1,0\n-1,0\n0,1\n0,-1\n"
 
@@ -138,6 +143,146 @@ class TestInputHandling:
                      "--method", "fdb-l2"])
         assert code == 3
         assert "stage" in capsys.readouterr().err
+
+
+def read_both(path):
+    """The new reader's and the reference's outcome: ("ok", shape, bytes)
+    for a matrix, ("error", message) for an InputError."""
+    outcomes = []
+    for reader in (cli.read_matrix_csv, read_matrix_csv_reference):
+        try:
+            matrix = reader(path)
+        except InputError as exc:
+            outcomes.append(("error", str(exc)))
+        else:
+            assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+            outcomes.append(("ok", matrix.shape, matrix.tobytes()))
+    return outcomes
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NUMBERS = st.one_of(
+    FINITE.map(repr),
+    FINITE.map(lambda v: f"{v:.17g}"),
+    FINITE.map(lambda v: f"{v:.3e}"),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["0", "-0", "+1", ".5", "5.", "1.5E+3", "-0.0"]),
+)
+# Cells that only float() reads, that neither reader accepts as a number,
+# or that are not finite.
+ODD_CELLS = st.sampled_from([
+    "nan", "-NaN", "inf", "-Infinity", "1e999", "-1e999", "1_000", "1__0",
+    "\u0661\u0662", "\uff11", "0x10", "1d5", "", "abc", "1 2", "1\x00", "\ufeff1",
+])
+# ASCII and Unicode whitespace, some of which str.splitlines() also reads
+# as a line break.
+PADDING = [" ", "\t", "\x1f", "\xa0", "\u3000", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+LINE_BREAKS = ["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x0b", "\x1e", "\x85", "\u2029"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text, either tidy (numbers, spaces, tabs, "\n", "\r\n" or "\r")
+    or messy (ODD_CELLS, PADDING, LINE_BREAKS and ragged rows too)."""
+    messy = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+    cell = st.one_of(NUMBERS, ODD_CELLS) if messy else NUMBERS
+    pad = st.text(st.sampled_from(PADDING if messy else [" ", "\t"]), max_size=2)
+    line_break = st.sampled_from(LINE_BREAKS if messy else ["\n", "\r\n", "\r"])
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.sampled_from(["a", "x y", "1", "nan", ""]))
+                              for _ in range(width)))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["ragged" if messy else "row", "blank"]))
+        if kind == "blank":
+            lines.append(draw(st.text(st.sampled_from([" ", "\t", "\u3000"]), max_size=3)))
+            continue
+        cells = width + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+        lines.append(",".join(
+            draw(pad) + draw(cell) + draw(pad) if draw(st.integers(0, 4)) == 0 else draw(cell)
+            for _ in range(max(cells, 1))
+        ))
+    breaks = [draw(line_break) for _ in lines]
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    if lines and draw(st.booleans()):
+        text = text[: -len(breaks[-1])]
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+class TestReadMatrixCsv:
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts())
+    def test_agrees_with_per_cell_reference(self, tmp_path, text):
+        # A new file per example: ext4 flushes a truncated file on close.
+        fd, path = tempfile.mkstemp(suffix=".csv", dir=tmp_path)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        new, reference = read_both(path)
+        assert new == reference
+
+    def test_full_precision_matrix_bitwise(self, tmp_path, rng):
+        x = rng.standard_normal((300, 40)) * 10.0 ** rng.integers(-300, 300, size=(300, 40))
+        path = tmp_path / "x.csv"
+        np.savetxt(path, x, fmt="%.17g", delimiter=",")
+        new, reference = read_both(str(path))
+        assert new == reference
+        assert np.array_equal(cli.read_matrix_csv(str(path)), x)
+
+    def test_plain_file_skips_the_per_cell_loop(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise AssertionError("per-cell loop ran")
+
+        monkeypatch.setattr(cli, "_parse_cells", fail)
+        path = write(tmp_path / "p.csv", "a,b\n \t\n1, 2\r\n\n3,4e-3\n")
+        assert cli.read_matrix_csv(path).tolist() == [[1.0, 2.0], [3.0, 0.004]]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1\n2\n3\n", [[1.0], [2.0], [3.0]]),
+        ("1,2,3\n", [[1.0, 2.0, 3.0]]),
+        ("x\n7", [[7.0]]),
+        ("1_000,2\n", [[1000.0, 2.0]]),                    # only float() reads it
+        ("\u0661,2\n", [[1.0, 2.0]]),                 # Arabic-Indic digit
+        ("1,2\x0c3,4\n", [[1.0, 2.0], [3.0, 4.0]]),        # form feed splits rows
+    ])
+    def test_accepted_shapes_and_spellings(self, tmp_path, text, expected):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert cli.read_matrix_csv(str(path)).tolist() == expected
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "file contains no data rows"),
+        ("a,b\n \n", "file contains a header but no data rows"),
+        ("1,2\n3\n", "row 2 has 1 columns, expected 2"),
+        ("h\n1\n\n2,\n", "row 3 has 2 columns, expected 1"),
+        ("1,2\n3,inf\n", "row 2, column 2: non-finite value 'inf'"),
+        ("1,2\n3,1e999\n", "row 2, column 2: non-finite value '1e999'"),
+        ("1,2\n3,4x\n", "row 2, column 2: '4x' is not a number"),
+        ("1\x0c,2\n", "row 2 has 2 columns, expected 1"),  # form feed splits rows
+        ("1\x85,2\n", "row 2 has 2 columns, expected 1"),  # so does NEL
+        ("1,2\u2028,3\n", "row 2, column 1: '' is not a number"),
+    ])
+    def test_errors_name_row_and_column(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(InputError) as info:
+            cli.read_matrix_csv(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_byte_order_mark_keeps_the_first_sample(self, tmp_path):
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
+        assert cli.read_matrix_csv(str(data)).tolist() == [[1, 2], [3, 4], [5, 6]]
+        header = tmp_path / "bom-header.csv"
+        header.write_bytes(b"\xef\xbb\xbfx,y\n3,4\n")
+        assert cli.read_matrix_csv(str(header)).tolist() == [[3, 4]]
+
+    def test_non_utf8_file_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("temp\xb0C\n1\n2\n".encode("latin-1"))
+        assert main(["depth", "--input", str(path), "--output", str(tmp_path / "d.csv")]) == 2
+        assert "not UTF-8 text" in capsys.readouterr().err
 
 
 class TestBenchmark:

@@ -14,7 +14,13 @@ from fdb.depth import (
     projection_depth,
     sample_directions,
 )
-from fdb.errors import DegenerateData, DimensionError, InvalidSubsetSize, NonFiniteValues
+from fdb.errors import (
+    DegenerateData,
+    DimensionError,
+    InvalidConfig,
+    InvalidSubsetSize,
+    NonFiniteValues,
+)
 from oracles import l2_depth_reference, projection_depth_reference
 
 
@@ -38,6 +44,8 @@ class TestSampleDirections:
         assert default_direction_count(150) == 1500
 
     def test_invalid_count(self):
+        with pytest.raises(InvalidConfig):
+            sample_directions(3, 0, seed=0)
         with pytest.raises(ValueError):
             sample_directions(3, 0, seed=0)
 
@@ -336,8 +344,12 @@ class TestThreadCount:
     @pytest.mark.parametrize("value", ["two", "0"])
     def test_invalid_thread_count(self, rng, monkeypatch, value):
         monkeypatch.setenv("FDB_THREADS", value)
+        with pytest.raises(InvalidConfig):
+            l2_depth(rng.standard_normal((10, 2)))
         with pytest.raises(ValueError):
             l2_depth(rng.standard_normal((10, 2)))
         monkeypatch.delenv("FDB_THREADS")
+        with pytest.raises(InvalidConfig):
+            l2_depth(rng.standard_normal((10, 2)), 0)
         with pytest.raises(ValueError):
             l2_depth(rng.standard_normal((10, 2)), 0)
