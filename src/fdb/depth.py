@@ -103,11 +103,8 @@ def default_direction_count(p: int) -> int:
 def as_data_matrix(data) -> np.ndarray:
     """Validate and return an (n, p) float matrix with finite entries."""
     x = np.asarray(data, dtype=float)
-    if x.ndim != 2:
-        raise DimensionError(f"expected a 2-d sample matrix, got ndim={x.ndim}")
-    n, p = x.shape
-    if n < 1 or p < 1:
-        raise DimensionError(f"need at least one sample and one variable, got shape {x.shape}")
+    if x.ndim != 2 or 0 in x.shape:
+        raise DimensionError(f"expected a nonempty 2-d sample matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteValues("data matrix contains non-finite entries")
     return x
@@ -311,17 +308,14 @@ def _distinct_rows(x: np.ndarray):
     return distinct, np.searchsorted(distinct, representative), counts
 
 
-def deepest_subset(depths, h: int, dim: "int | None" = None) -> np.ndarray:
+def deepest_subset(depths, h: int) -> np.ndarray:
     """Indices (ascending) of the h largest depth values.
 
     Ties at the boundary are broken in favour of the smaller original index.
-    When ``dim`` is given, enforces the invertibility requirement h > dim.
     """
     d = np.asarray(depths, dtype=float).ravel()
     n = d.size
     if h > n or h < 1:
         raise InvalidSubsetSize(f"subset size {h} not in [1, {n}]")
-    if dim is not None and h <= dim:
-        raise InvalidSubsetSize(f"subset size {h} must exceed the dimension {dim}")
     order = np.argsort(-d, kind="stable")
     return np.sort(order[:h])

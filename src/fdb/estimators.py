@@ -29,6 +29,7 @@ from .errors import (
     FdbError,
     InvalidConfig,
     InvalidSubsetSize,
+    NonFiniteValues,
     NotPositiveDefinite,
     OracleTooLarge,
     SingularCovariance,
@@ -92,9 +93,7 @@ class EstimatorConfig:
 
     def resolve_h(self, n: int, p: int) -> int:
         h = self.h if self.h is not None else int(math.floor(self.alpha * n))
-        if not p < h <= n:
-            raise InvalidSubsetSize(f"subset size {h} violates p < h <= n for n={n}, p={p}")
-        return h
+        return _checked_subset_size(h, n, p)
 
     def resolve_k(self, p: int) -> int:
         return self.k if self.k is not None else default_direction_count(p)
@@ -125,6 +124,13 @@ class EstimationReport:
     method: str = ""
 
 
+def _checked_subset_size(h: int, n: int, p: int) -> int:
+    # An h-subset covariance in p dimensions is nonsingular only if h > p.
+    if not p < h <= n:
+        raise InvalidSubsetSize(f"subset size {h} violates p < h <= n for n={n}, p={p}")
+    return h
+
+
 @contextmanager
 def _stage(name: str):
     # Tags propagated errors with the pipeline stage that raised them.
@@ -149,12 +155,17 @@ def subset_mean_cov(
     ``ridge`` enabled a singular covariance is repaired by adding
     (1e-10 * trace / p) * I before failing; this is meant for elemental
     starts only, since it perturbs the determinant objective.
+
+    Only the selected rows are read, and they are not scanned: a NaN or inf
+    among them makes sigma non-finite, which its Cholesky factor rejects.
     """
-    x = as_data_matrix(data)
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 2:
+        raise DimensionError(f"expected a 2-d sample matrix, got ndim={x.ndim}")
     idx = np.asarray(subset, dtype=int).ravel()
     h = idx.size
     if denominator not in ("h", "h-1"):
-        raise ValueError(f"denominator must be 'h' or 'h-1', got {denominator!r}")
+        raise InvalidConfig(f"denominator must be 'h' or 'h-1', got {denominator!r}")
     div = h if denominator == "h" else h - 1
     if div < 1:
         raise InvalidSubsetSize(f"subset of size {h} is too small for denominator {denominator}")
@@ -190,21 +201,25 @@ def mahalanobis_sq(data, ls: LocationScatter) -> np.ndarray:
     """Squared Mahalanobis distances of every sample under (mu, sigma).
 
     Computed through the Cholesky factor as |L^-1 (x - mu)|^2, which is
-    nonnegative by construction.
+    nonnegative by construction. The data are not scanned: a NaN or inf in
+    x or mu, or an overflowing x - mu, raises NonFiniteValues once it makes
+    a distance non-finite.
     """
-    x = as_data_matrix(data)
-    if x.shape[1] != ls.p:
-        raise DimensionError(
-            f"data dimension {x.shape[1]} does not match estimate dimension {ls.p}"
-        )
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 2 or x.shape[1] != ls.p:
+        raise DimensionError(f"expected an (n, {ls.p}) sample matrix, got shape {x.shape}")
     # The centred transpose is Fortran-ordered, so the solve overwrites it
     # and one n x p array is alive at a time.
-    z = solve_triangular(ls.lower, (x - ls.mu).T, lower=True, overwrite_b=True)
-    return np.einsum("ij,ij->j", z, z)
+    z = solve_triangular(ls.lower, (x - ls.mu).T, lower=True, overwrite_b=True, check_finite=False)
+    d2 = np.einsum("ij,ij->j", z, z)
+    if not np.isfinite(d2).all():
+        raise NonFiniteValues("squared Mahalanobis distances are not finite")
+    return d2
 
 
-def _smallest_distance_subset(d2: np.ndarray, h: int) -> np.ndarray:
+def _smallest_distance_subset(d2: np.ndarray, h: int, p: int) -> np.ndarray:
     # Ties broken by lower index via the stable sort.
+    _checked_subset_size(h, d2.size, p)
     return np.sort(np.argsort(d2, kind="stable")[:h])
 
 
@@ -216,12 +231,8 @@ def c_step(data, state: LocationScatter, h: int):
     incoming state was itself computed from an h-subset with denominator h-1,
     the determinant never increases.
     """
-    x = as_data_matrix(data)
-    n, p = x.shape
-    if not p < h <= n:
-        raise InvalidSubsetSize(f"subset size {h} violates p < h <= n for n={n}, p={p}")
-    d2 = mahalanobis_sq(x, state)
-    subset = _smallest_distance_subset(d2, h)
+    x = np.asarray(data, dtype=float)
+    subset = _smallest_distance_subset(mahalanobis_sq(x, state), h, state.p)
     return subset, subset_mean_cov(x, subset, "h-1", provenance="cstep")
 
 
@@ -232,17 +243,15 @@ def iterate_c_steps(data, start: LocationScatter, h: int, max_iter: int = _MAX_C
     subset equals the previous one, when the relative determinant decrease
     falls below 1e-12, or after ``max_iter`` estimate updates.
     """
-    x = as_data_matrix(data)
-    n, p = x.shape
-    if not p < h <= n:
-        raise InvalidSubsetSize(f"subset size {h} violates p < h <= n for n={n}, p={p}")
+    if max_iter < 1:
+        raise InvalidConfig(f"need at least one C-step, got max_iter={max_iter}")
+    x = np.asarray(data, dtype=float)
     state = start
     subset = None
     prev_logdet = None
     iterations = 0
     while iterations < max_iter:
-        d2 = mahalanobis_sq(x, state)
-        new_subset = _smallest_distance_subset(d2, h)
+        new_subset = _smallest_distance_subset(mahalanobis_sq(x, state), h, start.p)
         if subset is not None and np.array_equal(new_subset, subset):
             break
         subset = new_subset
@@ -252,8 +261,6 @@ def iterate_c_steps(data, start: LocationScatter, h: int, max_iter: int = _MAX_C
         if prev_logdet is not None and prev_logdet - logdet < _DET_TOL:
             break
         prev_logdet = logdet
-    if subset is None:  # max_iter == 0 guard; never hit in normal use
-        raise ValueError("at least one iteration is required")
     return subset, state, iterations
 
 
@@ -265,15 +272,14 @@ def reweight(data, ls: LocationScatter) -> ReweightResult:
     scatter get weight zero. The reweighted covariance uses denominator
     (sum of weights - 1) with no further correction factor.
     """
-    x = as_data_matrix(data)
-    n, p = x.shape
+    x = np.asarray(data, dtype=float)
     d2 = mahalanobis_sq(x, ls)
-    c0 = _consistency_factor(d2, p, "calibrate weights")
-    weights = (d2 / c0 <= numeric.chi_square_quantile(p, 0.975)).astype(np.int8)
+    c0 = _consistency_factor(d2, ls.p, "calibrate weights")
+    weights = (d2 / c0 <= numeric.chi_square_quantile(ls.p, 0.975)).astype(np.int8)
     kept = int(weights.sum())
-    if kept <= p + 1:
+    if kept <= ls.p + 1:
         raise TooFewWeightedSamples(
-            f"reweighting kept {kept} samples, need more than {p + 1}"
+            f"reweighting kept {kept} samples, need more than {ls.p + 1}"
         )
     estimate = subset_mean_cov(x, np.flatnonzero(weights), "h-1", provenance="reweighted")
     return ReweightResult(weights, c0, estimate)
@@ -364,7 +370,7 @@ def fdb_estimate(data, config: EstimatorConfig) -> EstimationReport:
     with _stage("depth"):
         depths = _depths(x, config)
     with _stage("subset"):
-        subset = deepest_subset(depths, h, dim=p)
+        subset = deepest_subset(depths, h)
     t_subset = time.perf_counter()
     method = "fdb-pro" if config.depth == "projection" else "fdb-l2"
     return _finish_report(x, subset, config.reweight, t0, t_subset, method)
@@ -389,10 +395,9 @@ def fastmcd_baseline(
     t0 = time.perf_counter()
     x = as_data_matrix(data)
     n, p = x.shape
-    if not p < h <= n:
-        raise InvalidSubsetSize(f"subset size {h} violates p < h <= n for n={n}, p={p}")
+    _checked_subset_size(h, n, p)
     if n_starts < 1:
-        raise ValueError(f"need at least one start, got {n_starts}")
+        raise InvalidConfig(f"need at least one start, got {n_starts}")
 
     with _stage("subset"):
         candidates = []  # (logdet, start index, subset, state)
@@ -443,8 +448,7 @@ def exhaustive_mcd(data, h: int):
     """
     x = as_data_matrix(data)
     n, p = x.shape
-    if not p < h <= n:
-        raise InvalidSubsetSize(f"subset size {h} violates p < h <= n for n={n}, p={p}")
+    _checked_subset_size(h, n, p)
     total = math.comb(n, h)
     if total > _ORACLE_LIMIT:
         raise OracleTooLarge(f"C({n}, {h}) = {total} exceeds the oracle bound {_ORACLE_LIMIT}")

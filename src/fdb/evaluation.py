@@ -340,9 +340,9 @@ def run_benchmark(
     """
     cells = [cell.normalized() for cell in cells]
     if not cells:
-        raise ValueError("benchmark grid is empty")
+        raise InvalidConfig("benchmark grid is empty")
     if replicates < 1:
-        raise ValueError(f"need at least one replicate, got {replicates}")
+        raise InvalidConfig(f"need at least one replicate, got {replicates}")
     rows: "list[BenchmarkRow]" = []
     for cell in cells:
         results: "list[MetricsReport | None]" = [None] * replicates

@@ -185,7 +185,7 @@ class TestDeepestSubset:
         with pytest.raises(InvalidSubsetSize):
             deepest_subset([0.1, 0.2, 0.3], 4)
         with pytest.raises(InvalidSubsetSize):
-            deepest_subset([0.1, 0.2, 0.3], 2, dim=2)
+            deepest_subset([0.1, 0.2, 0.3], 0)
 
     def test_selected_multiset_permutation_invariant(self, rng):
         depths = rng.uniform(size=50)

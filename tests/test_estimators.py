@@ -8,6 +8,7 @@ import pytest
 from fdb import numeric
 from fdb.errors import (
     DegenerateData,
+    DimensionError,
     FdbError,
     InvalidConfig,
     InvalidSubsetSize,
@@ -73,6 +74,18 @@ class TestSubsetMeanCov:
         with pytest.raises(SingularCovariance):
             subset_mean_cov(x, [0, 1, 2], "h-1")
 
+    def test_unselected_rows_are_not_read(self, rng):
+        x = rng.standard_normal((10, 2))
+        x[9] = np.nan
+        ls = subset_mean_cov(x, np.arange(9), "h-1")
+        mu, cov = two_pass_mean_cov(x, np.arange(9), "h-1")
+        assert np.max(np.abs(ls.mu - mu)) <= 1e-12
+        assert np.max(np.abs(ls.sigma - cov)) <= 1e-12
+
+    def test_unknown_denominator_is_invalid_config(self):
+        with pytest.raises(InvalidConfig):
+            subset_mean_cov(CROSS, [0, 1, 2, 3], "n")
+
     def test_ridge_repairs_elemental_start(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [5.0, 1.0]])
         ls = subset_mean_cov(x, [0, 1, 2], "h-1", ridge=True)
@@ -124,8 +137,8 @@ class TestMahalanobisSq:
         assert np.all(mahalanobis_sq(x, ls) >= 0.0)
 
     def test_one_n_by_p_temporary(self, rng):
-        # The solve overwrites the centred data, so the peak is one n x p
-        # array, the solver's finiteness mask (n p bytes) and O(n).
+        # The solve overwrites the centred data and does not check it for
+        # finiteness, so the peak is one n x p array and O(n).
         n, p = 2000, 200
         x = rng.standard_normal((n, p))
         ls = LocationScatter(np.zeros(p), np.eye(p))
@@ -137,6 +150,21 @@ class TestMahalanobisSq:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * 8 * n * p
+
+    def test_overflowing_difference_is_non_finite_values(self):
+        ls = LocationScatter(np.array([-1e308]), np.eye(1))
+        with pytest.raises(NonFiniteValues), np.errstate(over="ignore"):
+            mahalanobis_sq([[1e308], [0.0]], ls)
+
+    def test_nan_location_is_non_finite_values(self):
+        ls = LocationScatter(np.array([np.nan, 0.0]), np.eye(2))
+        with pytest.raises(NonFiniteValues):
+            mahalanobis_sq(np.zeros((3, 2)), ls)
+
+    def test_dimension_mismatch(self, rng):
+        ls = LocationScatter(np.zeros(3), np.eye(3))
+        with pytest.raises(DimensionError):
+            mahalanobis_sq(rng.standard_normal((5, 2)), ls)
 
 
 @pytest.fixture
@@ -189,6 +217,43 @@ class TestFactorOnce:
         _, _, iterations = iterate_c_steps(x, start, 90)
         assert iterations > 1
         assert len(cholesky_calls) == iterations
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Shapes passed to depth.as_data_matrix, through both module bindings."""
+    from fdb import depth, estimators
+
+    calls = []
+    original = depth.as_data_matrix
+
+    def counting(data):
+        calls.append(np.shape(data))
+        return original(data)
+
+    for module in (depth, estimators):
+        monkeypatch.setattr(module, "as_data_matrix", counting)
+    return calls
+
+
+class TestValidateOnce:
+    def test_fastmcd_baseline_scans_its_input_once(self, rng, validations):
+        fastmcd_baseline(rng.standard_normal((60, 3)), 45, n_starts=20, seed=1)
+        assert validations == [(60, 3)]
+
+    @pytest.mark.parametrize("depth", ["projection", "l2"])
+    def test_fdb_estimate_scans_once_plus_its_depth_kernel(self, rng, validations, depth):
+        fdb_estimate(rng.standard_normal((60, 3)), EstimatorConfig(depth=depth, k=100))
+        assert validations == [(60, 3), (60, 3)]
+
+    def test_c_step_primitives_do_not_scan(self, rng, validations):
+        x = rng.standard_normal((60, 3))
+        start = subset_mean_cov(x, np.arange(45), "h-1")
+        _, state = c_step(x, start, 45)
+        iterate_c_steps(x, state, 45)
+        reweight(x, state)
+        mahalanobis_sq(x, state)
+        assert validations == []
 
 
 class TestCStep:
@@ -252,6 +317,12 @@ class TestIterateCSteps:
             before = log_determinant(cholesky(state.sigma))
             _, final, _ = iterate_c_steps(x, state, h)
             assert log_determinant(cholesky(final.sigma)) <= before + 1e-10
+
+
+    def test_no_iteration_is_invalid_config(self):
+        x, h = twelve_point_instance()
+        with pytest.raises(InvalidConfig):
+            iterate_c_steps(x, full_sample_state(x), h, max_iter=0)
 
 
 class TestReweight:
@@ -436,6 +507,10 @@ class TestFastMcdBaseline:
         with pytest.raises(DegenerateData) as exc:
             fastmcd_baseline(x, h=225, n_starts=20, seed=0)
         assert exc.value.stage == "subset"
+
+    def test_no_start_is_invalid_config(self, rng):
+        with pytest.raises(InvalidConfig):
+            fastmcd_baseline(rng.standard_normal((30, 2)), h=20, n_starts=0)
 
     def test_matches_enumeration_on_small_instance(self):
         x, h = twelve_point_instance()

@@ -215,6 +215,12 @@ class TestRunBenchmark:
         with pytest.raises(InvalidConfig):
             run_benchmark(cells, replicates=2, seed=1, alpha=2.0, threads=threads)
 
+    def test_empty_grid_and_no_replicates_are_invalid_config(self):
+        with pytest.raises(InvalidConfig):
+            run_benchmark([], replicates=1)
+        with pytest.raises(InvalidConfig):
+            run_benchmark([BenchmarkCell("A", "none", 0.0, 0.0, "fdb-l2")], replicates=0)
+
     def test_epsilon_zero_normalizes_to_clean_cell(self):
         rows = run_benchmark(
             [BenchmarkCell("A", "cluster", 0.0, 5.0, "fdb-l2")], replicates=1, seed=1
