@@ -19,7 +19,7 @@ from scipy.stats import rankdata
 
 from . import numeric
 from .depth import as_data_matrix
-from .errors import DimensionError, InvalidRule
+from .errors import DimensionError, InvalidConfig, InvalidRule
 from .estimators import LocationScatter, mahalanobis_sq
 
 CATEGORIES = ("regular", "good_leverage", "orthogonal_outlier", "bad_leverage")
@@ -151,7 +151,7 @@ def auc_score(distances, labels) -> float:
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs at least one positive and one negative label")
+        raise InvalidConfig("AUC needs at least one positive and one negative label")
     ranks = rankdata(d)
     return float((ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -9,6 +9,7 @@ error, 3 computation error.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import itertools
 import json
@@ -173,12 +174,27 @@ def read_labels_csv(path: str, n: int) -> np.ndarray:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial data."""
+    """Write ``text`` as UTF-8 to a sibling temp file and rename it over ``path``.
+
+    Readers see the old file or the new one, never part of either. The file
+    is not fsynced. Its exact encoded length is reserved before the write,
+    so a rename over an existing file does not wait for ext4 to flush the
+    new blocks; the cost is that after a power loss the replaced file can
+    come back as zeros of the right length rather than as old or new text.
+    """
+    data = text.encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fdb-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            # A zero length is EINVAL; any surplus would leave a zero tail.
+            if data and hasattr(os, "posix_fallocate"):
+                try:
+                    os.posix_fallocate(fh.fileno(), 0, len(data))
+                except OSError as exc:
+                    if exc.errno != errno.EOPNOTSUPP:
+                        raise
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

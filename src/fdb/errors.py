@@ -29,6 +29,10 @@ class InvalidConfig(FdbError, ValueError):
     """An estimator configuration holds an out-of-range or unknown setting."""
 
 
+class NotSymmetric(FdbError, ValueError):
+    """A matrix required to be exactly symmetric is not."""
+
+
 class DimensionError(FdbError):
     """Array shapes are inconsistent with each other or with the operation."""
 

@@ -273,13 +273,17 @@ def reweight(data, ls: LocationScatter) -> ReweightResult:
     (sum of weights - 1) with no further correction factor.
     """
     x = np.asarray(data, dtype=float)
-    d2 = mahalanobis_sq(x, ls)
-    c0 = _consistency_factor(d2, ls.p, "calibrate weights")
-    weights = (d2 / c0 <= numeric.chi_square_quantile(ls.p, 0.975)).astype(np.int8)
+    return _reweight(x, mahalanobis_sq(x, ls), ls.p)
+
+
+def _reweight(x: np.ndarray, d2: np.ndarray, p: int) -> ReweightResult:
+    # reweight, given the squared distances d2 of x under the estimate.
+    c0 = _consistency_factor(d2, p, "calibrate weights")
+    weights = (d2 / c0 <= numeric.chi_square_quantile(p, 0.975)).astype(np.int8)
     kept = int(weights.sum())
-    if kept <= ls.p + 1:
+    if kept <= p + 1:
         raise TooFewWeightedSamples(
-            f"reweighting kept {kept} samples, need more than {ls.p + 1}"
+            f"reweighting kept {kept} samples, need more than {p + 1}"
         )
     estimate = subset_mean_cov(x, np.flatnonzero(weights), "h-1", provenance="reweighted")
     return ReweightResult(weights, c0, estimate)
@@ -294,13 +298,6 @@ def _consistency_factor(d2: np.ndarray, p: int, purpose: str) -> float:
     return c
 
 
-def _consistency_scale(data, raw: LocationScatter) -> "tuple[float, LocationScatter]":
-    # Rescales sigma0 by c1; the product keeps sigma0's exact symmetry.
-    c1 = _consistency_factor(mahalanobis_sq(data, raw), raw.p, "scale scatter")
-    scaled = LocationScatter(raw.mu, c1 * raw.sigma, "raw")
-    return c1, scaled
-
-
 def _finish_report(
     data,
     subset: np.ndarray,
@@ -310,18 +307,26 @@ def _finish_report(
     method: str,
 ) -> EstimationReport:
     # Shared tail of both estimators: h-denominator scatter, c1 scaling,
-    # optional reweighting, final distances and timings.
+    # optional reweighting, final distances and timings. Distances under
+    # c1 * sigma0 are those under sigma0 divided by c1, so the scaled
+    # estimate needs neither a factor nor a pass of its own.
     with _stage("scatter"):
         raw = subset_mean_cov(data, subset, "h", provenance="raw")
     with _stage("scaling"):
-        c1, scaled = _consistency_scale(data, raw)
+        d2 = mahalanobis_sq(data, raw)
+        c1 = _consistency_factor(d2, raw.p, "scale scatter")
+        with np.errstate(over="ignore"):
+            d2 /= c1
+        if not np.isfinite(d2).all():
+            raise NonFiniteValues("scaled squared distances overflow")
+    # The product keeps sigma0's exact symmetry.
+    estimate = LocationScatter(raw.mu, c1 * raw.sigma, "raw")
+    weights = c0 = None
     if do_reweight:
         with _stage("reweight"):
-            rw = reweight(data, scaled)
+            rw = _reweight(data, d2, raw.p)
         estimate, weights, c0 = rw.estimate, rw.weights, rw.c0
-    else:
-        estimate, weights, c0 = scaled, None, None
-    d2 = mahalanobis_sq(data, estimate)
+        d2 = mahalanobis_sq(data, estimate)
     elapsed = time.perf_counter() - t0
     return EstimationReport(
         estimate=estimate,

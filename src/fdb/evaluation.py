@@ -59,7 +59,7 @@ class GenerationSpec:
             raise DimensionError(f"need n >= 1 and p >= 1, got n={self.n}, p={self.p}")
         lo = -1.0 / (self.p - 1) if self.p > 1 else -np.inf
         if not lo < self.off_diagonal < 1.0:
-            raise ValueError(
+            raise InvalidConfig(
                 f"off-diagonal {self.off_diagonal} outside ({lo}, 1); G would be singular"
             )
 
@@ -298,7 +298,7 @@ def _run_method(x, method: str, alpha: float, seed: int):
         return fdb_estimate(x, EstimatorConfig(alpha=alpha, depth=depth, seed=seed, threads=1))
     if method == "fastmcd":
         return fastmcd_baseline(x, h=int(math.floor(alpha * n)), seed=seed)
-    raise ValueError(f"unknown method {method!r}")
+    raise InvalidConfig(f"unknown method {method!r}")
 
 
 def run_replicate(

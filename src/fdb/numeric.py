@@ -22,6 +22,7 @@ from .errors import (
     EmptyInput,
     NonFiniteValues,
     NotPositiveDefinite,
+    NotSymmetric,
 )
 
 
@@ -104,7 +105,7 @@ def check_symmetric(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NonFiniteValues("matrix contains non-finite entries")
     if not np.array_equal(a, a.T):
-        raise ValueError("matrix is not symmetric")
+        raise NotSymmetric("matrix is not symmetric")
     return a
 
 

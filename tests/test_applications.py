@@ -10,7 +10,7 @@ from fdb.applications import (
     pca_diagnostics,
     robust_pca,
 )
-from fdb.errors import DimensionError, InvalidRule
+from fdb.errors import DimensionError, InvalidConfig, InvalidRule
 from fdb.estimators import LocationScatter
 from fdb.numeric import chi_square_quantile, eigen_symmetric
 from oracles import random_spd
@@ -131,6 +131,12 @@ class TestAuc:
         base = auc_score(distances, labels)
         assert auc_score(np.exp(distances), labels) == pytest.approx(base)
         assert auc_score(distances**3, labels) == pytest.approx(base)
+
+    @pytest.mark.parametrize("label", [False, True])
+    def test_one_class_is_invalid_config(self, label):
+        with pytest.raises(InvalidConfig) as exc:
+            auc_score(np.arange(4.0), np.full(4, label))
+        assert isinstance(exc.value, ValueError)
 
 
 class TestDetectOutliers:

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -428,6 +429,90 @@ class TestDepthCommand:
         expected = depth.projection_depth(x, depth.sample_directions(4, 500, 13))
         got = [float(line.split(",")[1]) for line in out1.read_text().splitlines()[1:]]
         assert np.allclose(got, expected, rtol=0, atol=0)
+
+
+NON_ASCII = "index,name\n0,Kraków\n1,東京 → ∞\n"
+
+
+class TestAtomicWriteText:
+    def test_overwrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"x" * 5000)
+        cli.atomic_write_text(str(path), "a,b\n1,2\n")
+        assert path.read_bytes() == b"a,b\n1,2\n"
+        assert os.path.getsize(path) == 8
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("text", ["", NON_ASCII])
+    def test_round_trips_as_utf8(self, tmp_path, text):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old")
+        cli.atomic_write_text(str(path), text)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert path.read_text(encoding="utf-8") == text
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old contents\n")
+        real_fdopen = os.fdopen
+
+        class HalfWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def fileno(self):
+                return self.fh.fileno()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: HalfWrite(real_fdopen(fd, mode)))
+        with pytest.raises(OSError):
+            cli.atomic_write_text(str(path), NON_ASCII * 100)
+        assert path.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_preallocates_the_encoded_length(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            os, "posix_fallocate", lambda fd, offset, length: calls.append((offset, length)),
+            raising=False,
+        )
+        path = tmp_path / "out.csv"
+        cli.atomic_write_text(str(path), NON_ASCII)
+        cli.atomic_write_text(str(path), "")
+        assert calls == [(0, len(NON_ASCII.encode("utf-8")))]
+        assert path.read_bytes() == b""
+
+    def test_unsupported_preallocation_still_writes(self, tmp_path, monkeypatch):
+        def unsupported(fd, offset, length):
+            raise OSError(errno.EOPNOTSUPP, "Operation not supported")
+
+        monkeypatch.setattr(os, "posix_fallocate", unsupported, raising=False)
+        path = tmp_path / "out.csv"
+        cli.atomic_write_text(str(path), NON_ASCII)
+        assert path.read_bytes() == NON_ASCII.encode("utf-8")
+
+    def test_other_preallocation_errors_propagate(self, tmp_path, monkeypatch):
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old")
+        with pytest.raises(OSError) as exc:
+            cli.atomic_write_text(str(path), NON_ASCII)
+        assert exc.value.errno == errno.ENOSPC
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestThreadResolution:

@@ -201,7 +201,8 @@ class TestFactorOnce:
             ls.sigma = 2.0 * np.eye(2)
 
     @pytest.mark.parametrize("depth", ["projection", "l2"])
-    @pytest.mark.parametrize("do_reweight, factors", [(True, 3), (False, 2)])
+    # The raw and reweighted scatters; the c1-scaled one is never factored.
+    @pytest.mark.parametrize("do_reweight, factors", [(True, 2), (False, 1)])
     def test_fdb_estimate_factors_each_scatter_once(
         self, rng, cholesky_calls, depth, do_reweight, factors
     ):
@@ -413,6 +414,36 @@ class TestFdbEstimate:
             fdb_estimate(x, EstimatorConfig(depth=depth))
         assert exc.value.stage == "scatter"
         assert isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("do_reweight", [True, False])
+    def test_tail_matches_direct_passes(self, rng, do_reweight):
+        # The tail takes the distances under c1 * sigma0 as the raw ones
+        # divided by c1; they agree with a direct pass to rounding.
+        x = rng.standard_normal((300, 6))
+        x[:40] += 8.0
+        config = EstimatorConfig(seed=2, reweight=do_reweight)
+        report = fdb_estimate(x, config)
+        raw = subset_mean_cov(x, report.subset, "h")
+        scaled = LocationScatter(raw.mu, report.c1 * raw.sigma)
+        if do_reweight:
+            direct = reweight(x, scaled)
+            assert np.array_equal(report.weights, direct.weights)
+            assert report.c0 == pytest.approx(direct.c0, rel=1e-13)
+            assert np.array_equal(report.estimate.sigma, direct.estimate.sigma)
+        else:
+            assert np.array_equal(report.estimate.sigma, scaled.sigma)
+        np.testing.assert_allclose(
+            report.distances_sq, mahalanobis_sq(x, report.estimate), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("do_reweight", [True, False])
+    def test_overflowing_scaled_distances_are_tagged(self, do_reweight):
+        # 73 of 100 samples lie within 1e-150 of zero, so c1 is about 1e-298
+        # and the distances of the samples at 1e5 overflow once divided by it.
+        x = np.concatenate([np.linspace(-1e-150, 1e-150, 73), [-1.0, 1.0] * 5, [1e5] * 17])
+        with pytest.raises(NonFiniteValues) as exc:
+            fdb_estimate(x[:, None], EstimatorConfig(k=50, reweight=do_reweight))
+        assert exc.value.stage == "scaling"
 
     def test_rigid_motion_equivariance_l2(self, rng):
         x = rng.standard_normal((120, 3)) @ np.diag([1.0, 2.0, 0.5])

@@ -46,6 +46,11 @@ class TestGenerateClean:
         with pytest.raises(ValueError):
             GenerationSpec(10, 3, off_diagonal=1.0)
 
+    @pytest.mark.parametrize("off_diagonal", [1.0, -0.5])
+    def test_off_diagonal_is_invalid_config(self, off_diagonal):
+        with pytest.raises(InvalidConfig):
+            GenerationSpec(10, 3, off_diagonal=off_diagonal)
+
 
 class TestContaminate:
     def test_epsilon_zero_is_identity(self, rng):
@@ -220,6 +225,10 @@ class TestRunBenchmark:
             run_benchmark([], replicates=1)
         with pytest.raises(InvalidConfig):
             run_benchmark([BenchmarkCell("A", "none", 0.0, 0.0, "fdb-l2")], replicates=0)
+
+    def test_unknown_method_is_invalid_config(self):
+        with pytest.raises(InvalidConfig, match="unknown method 'mcd'"):
+            run_benchmark([BenchmarkCell("A", "none", 0.0, 0.0, "mcd")], replicates=2)
 
     def test_epsilon_zero_normalizes_to_clean_cell(self):
         rows = run_benchmark(

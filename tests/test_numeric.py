@@ -9,6 +9,7 @@ from fdb.errors import (
     EmptyInput,
     NonFiniteValues,
     NotPositiveDefinite,
+    NotSymmetric,
 )
 from fdb.numeric import (
     chi_square_quantile,
@@ -199,6 +200,12 @@ class TestCholesky:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             cholesky([[1.0, 0.1], [0.2, 1.0]])
+
+    @pytest.mark.parametrize("routine", [cholesky, eigen_symmetric])
+    def test_asymmetric_is_not_symmetric(self, routine):
+        with pytest.raises(NotSymmetric) as exc:
+            routine([[1.0, 0.1], [0.2, 1.0]])
+        assert isinstance(exc.value, ValueError)
 
 
 def test_non_finite_values_are_value_errors():
