@@ -42,7 +42,7 @@ def record_run(root: Path, base: list, workload: str, seed: int, seconds: float,
         *base, "--workload", workload, "--seed", str(seed),
         "--seconds", f"{seconds:g}", "--trace", str(trace),
     ]
-    out = subprocess.run(command, cwd=root, capture_output=True, text=True, timeout=30 * seconds + 300)
+    out = subprocess.run(command, cwd=root, capture_output=True, encoding="utf-8", timeout=30 * seconds + 300)
     lines = out.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -63,7 +63,7 @@ def record_run(root: Path, base: list, workload: str, seed: int, seconds: float,
 def main(argv=None) -> int:
     args = parse_args(argv)
     root = args.root.resolve()
-    spec = json.loads((root / "BENCHMARK.json").read_text())
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     runs = []
     for entry in spec["workloads"]:
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
             runs.append(run)
     output = args.output or ROOT / f"BENCH_{args.label}.json"
     document = {"label": args.label, "seed": args.seed, "seconds": seconds, "runs": runs}
-    output.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
+    output.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(output)
     return 0 if all(run["exit_code"] == 0 for run in runs) else 1
 

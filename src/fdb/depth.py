@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -44,15 +45,27 @@ _BLOCK_BYTES = 256 * 1024
 # n = 400, p = 200 (25 blocks). With p <= 100 and k = 1000 they took 1.04x
 # to 1.39x the time from 4 to 63 blocks (n = 100 to 2000). The block count
 # alone does not separate these cases, so the count stays at 2. An L2 block
-# takes 0.05-0.15 ms, and two workers lost at 8 blocks for p = 5 (0.51 ->
-# 0.63 ms) and gained from 16 on at p = 5 and 100 (0.82x, 0.69x).
+# takes 0.05-0.13 ms on average; a Gram strip is half a block of rows x
+# samples on average. Two workers took 0.77x-1.27x the one-worker time at 8
+# blocks (n = 512, p = 5 to 100) and gained from 17 blocks on with pairwise
+# differences (0.67x at p = 5). Gram strips took 0.92x-1.16x from 17 to 32
+# blocks (p = 20 and 100) and 0.58x at 125 blocks (n = 2000, p = 200).
 _PROJECTION_BLOCKS_PER_WORKER = 2
 _L2_BLOCKS_PER_WORKER = 8
 
+# An L2 worker may finish this many blocks ahead of the block whose column
+# sums are due next before it waits. In strict lock-step (0) a stall of one
+# thread stalls the other; two workers at n = 2000, p = 200 took a median
+# 10.2 ms with 0 and 9.8 ms with 4 on a quiet host. 4 costs at most four
+# parked length-m vectors.
+_L2_LOOKAHEAD = 4
+
 # From this dimension on, L2 depth uses the Gram form |a|^2 + |b|^2 - 2 a'b,
 # one matrix product per block; below it pairwise differences (cdist) are
-# faster. At n = 200 and 400 the measured crossover lies between p = 12 and
-# p = 16.
+# faster at n = 200, where the measured crossover lies between p = 14 and
+# p = 16. Since each pair is computed once, the Gram form is also faster at
+# n = 400 (0.87x-0.94x for p = 2 to 5) and n = 1000 (0.75x at p = 6); at
+# n = 300 and p <= 5 the two are within 6%.
 _L2_GRAM_MIN_P = 16
 
 # L2 depth leaves data with max |x| in [2**-256, 2**256] unscaled: there
@@ -219,11 +232,13 @@ def l2_depth(data, threads: "int | None" = None, *, return_mean_distance: bool =
     Data of extreme scale are first scaled by a power of two, which is
     exact, so that squared distances neither overflow nor become subnormal.
     From dimension ``_L2_GRAM_MIN_P`` on the distances come from the Gram
-    form of a centred copy, below it from pairwise differences. Either way
-    the working memory is one block of at most ``_BLOCK_BYTES`` per worker
-    thread besides one copy of the data. ``threads`` workers (``None``:
-    FDB_THREADS, else 1) share the blocks; the depths are bitwise equal for
-    every count.
+    form of a centred copy, each pair computed once; below it from pairwise
+    differences. Either way the working memory is one block of at most
+    ``_BLOCK_BYTES`` per worker thread besides one copy of the data and a
+    few length-n vectors: in the Gram form one per worker, at most
+    ``_L2_LOOKAHEAD`` parked ones and the accumulator. ``threads`` workers
+    (``None``: FDB_THREADS, else 1) share the blocks; the depths are bitwise
+    equal for every count.
 
     With ``return_mean_distance`` the result is (depths, mean distances).
     The depth rounds to 1 for mean distances below 2**-53, so tiny data
@@ -259,39 +274,109 @@ def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> 
     Bitwise-identical rows are merged first and weighted by their count, so
     they get identical sums and a distance of exactly 0 to each other, which
     the rounding of the Gram form would not give them.
+
+    Each pair of distinct rows is computed once. The block of rows
+    [start, stop) takes the strip of distances to the rows from ``start``
+    on: its row sums complete those rows, and its weighted column sums fill
+    in the lower triangle of every later row. A ``_BlockOrderSum`` adds the
+    blocks' vectors in block order, so every sum adds the same per-block
+    terms in the same order for every thread count. The working memory is one
+    block of at most ``_BLOCK_BYTES`` and one length-m vector per worker,
+    at most ``_L2_LOOKAHEAD`` parked length-m vectors and the accumulator,
+    besides the centred copy.
     """
-    distinct, inverse, counts = _distinct_rows(x)
-    xc = x[distinct]
+    xc, inverse, weights = _distinct_rows(x)
     np.ldexp(xc, -exponent, out=xc)
     xc -= xc.mean(axis=0)
     sq = np.einsum("ij,ij->i", xc, xc)
-    weights = counts.astype(float)
     m = xc.shape[0]
     rows = min(_block_rows(m), m)
-    sums = np.empty(m)
+    sums = _BlockOrderSum(m)
 
-    def fill(starts):  # workers write disjoint slices of sums
-        buf = np.empty((rows, m))
-        for start in starts:
-            stop = min(start + rows, m)
-            d2 = buf[: stop - start]
-            np.matmul(xc[start:stop], xc.T, out=d2)
-            d2 *= -2.0
-            d2 += sq[start:stop, None]
-            d2 += sq
-            np.maximum(d2, 0.0, out=d2)
-            d2[np.arange(stop - start), np.arange(start, stop)] = 0.0
-            np.sqrt(d2, out=d2)
-            np.matmul(d2, weights, out=sums[start:stop])
+    def fill(starts):
+        buf = np.empty(rows * m)
+        try:
+            for start in starts:
+                stop = min(start + rows, m)
+                r = stop - start
+                d2 = buf[: r * (m - start)].reshape(r, m - start)
+                np.matmul(xc[start:stop], xc[start:].T, out=d2)
+                d2 *= -2.0
+                d2 += sq[start:stop, None]
+                d2 += sq[start:]
+                np.maximum(d2, 0.0, out=d2)
+                np.fill_diagonal(d2, 0.0)
+                np.sqrt(d2, out=d2)
+                if not sums.add(start // rows, start, _strip_sums(d2, weights[start:])):
+                    return  # another worker failed and its error is raised
+        except BaseException:
+            sums.fail()
+            raise
 
     _map_blocks(fill, range(0, m, rows), threads, _L2_BLOCKS_PER_WORKER)
-    return sums[inverse]
+    return sums.total[inverse]
+
+
+def _strip_sums(d2: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A strip's share of the distance sums of its rows and later rows.
+
+    ``d2`` holds the distances from r rows to the same r rows and then to
+    the rows after them, whose weights are ``w``. The result holds its
+    weighted row sums, then the column sums right of its r x r diagonal
+    block, weighted by the r rows' weights.
+    """
+    r = d2.shape[0]
+    share = np.empty(d2.shape[1])
+    np.matmul(d2, w, out=share[:r])
+    np.matmul(w[:r], d2[:, r:], out=share[r:])
+    return share
+
+
+class _BlockOrderSum:
+    """Adds the vectors of blocks 0, 1, 2, ... into ``total`` strictly in
+    block order, whichever worker thread delivers them, so the sum has the
+    same bits for every thread count.
+
+    A block may be delivered up to ``_L2_LOOKAHEAD`` blocks ahead of the
+    next one due; its vector is parked until then, and whichever thread
+    holds the lock adds the parked vectors that have come due. A worker
+    further ahead waits, so at most that many vectors are parked.
+    """
+
+    def __init__(self, m: int):
+        self.total = np.zeros(m)
+        self._parked = {}
+        self._due = 0
+        self._failed = False
+        self._turn = threading.Condition()
+
+    def add(self, block: int, start: int, vector: np.ndarray) -> bool:
+        """Add ``vector`` to ``total[start:]`` in block ``block``'s turn;
+        False, and nothing added, once a worker has failed."""
+        with self._turn:
+            self._turn.wait_for(lambda: self._failed or block <= self._due + _L2_LOOKAHEAD)
+            if self._failed:
+                return False
+            self._parked[block] = start, vector
+            if block == self._due:
+                while self._due in self._parked:
+                    at, due = self._parked.pop(self._due)
+                    self.total[at:] += due
+                    self._due += 1
+                self._turn.notify_all()
+        return True
+
+    def fail(self) -> None:
+        """Release the workers waiting for a turn that will not come."""
+        with self._turn:
+            self._failed = True
+            self._turn.notify_all()
 
 
 def _distinct_rows(x: np.ndarray):
-    """Bitwise-distinct rows of ``x``: (first index of each distinct row,
-    ascending; position of each row's representative in that list; count of
-    each distinct row)."""
+    """Bitwise-distinct rows of ``x``: (a copy of them, in the order of
+    their first occurrence; position of each row's representative among
+    them; count of each distinct row, as a float weight)."""
     n, p = x.shape
     keys = np.ascontiguousarray(x).view(np.dtype((np.void, 8 * p))).ravel()
     order = np.argsort(keys, kind="stable")
@@ -304,8 +389,8 @@ def _distinct_rows(x: np.ndarray):
     representative = np.empty(n, dtype=np.intp)
     representative[order] = order[starts][np.cumsum(starts) - 1]
     distinct = np.flatnonzero(representative == np.arange(n))
-    counts = np.bincount(representative, minlength=n)[distinct]
-    return distinct, np.searchsorted(distinct, representative), counts
+    inverse = np.searchsorted(distinct, representative)
+    return x[distinct], inverse, np.bincount(inverse).astype(float)
 
 
 def deepest_subset(depths, h: int) -> np.ndarray:

@@ -190,9 +190,9 @@ class TestExportDiagnostics:
         diag = pca_diagnostics(data, model)
         det = detect_outliers(data, ls)
         path = tmp_path / "diag.csv"
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             export_diagnostics_csv(fh, diag, det)
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "index,sd,od,category,distance,flag"
         assert len(lines) == 16
         cells = lines[1].split(",")

@@ -20,7 +20,7 @@ CROSS_CSV = "1,0\n-1,0\n0,1\n0,-1\n"
 
 
 def write(path, text):
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -56,7 +56,7 @@ class TestEstimate:
              "--method", "fdb-l2", "--alpha", "1.0", "--no-reweight"]
         )
         assert code == 0
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["mu"] == [0.0, 0.0]
         assert doc["c0"] is None and doc["weights"] is None
         assert doc["c1"] > 0
@@ -77,7 +77,7 @@ class TestEstimate:
     def test_output_schema(self, sample_csv, tmp_path):
         out = tmp_path / "est.json"
         assert main(["estimate", "--input", sample_csv, "--output", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(encoding="utf-8"))
         required = {
             "mu", "sigma", "subset", "weights", "c0", "c1", "method",
             "alpha", "k", "seed", "elapsed_seconds", "threads",
@@ -90,8 +90,8 @@ class TestEstimate:
     def test_matches_library_call(self, sample_csv, tmp_path):
         out = tmp_path / "est.json"
         assert main(["estimate", "--input", sample_csv, "--output", str(out), "--seed", "3"]) == 0
-        doc = json.loads(out.read_text())
-        x = np.loadtxt(sample_csv, delimiter=",")
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        x = np.loadtxt(sample_csv, delimiter=",", encoding="utf-8")
         report = fdb_estimate(x, EstimatorConfig(seed=3))
         assert np.allclose(doc["mu"], report.estimate.mu, rtol=0, atol=0)
         assert doc["c1"] == report.c1
@@ -104,7 +104,7 @@ class TestInputHandling:
         code = main(["estimate", "--input", str(path), "--output", str(out),
                      "--method", "fdb-l2", "--alpha", "1.0", "--no-reweight"])
         assert code == 0
-        assert json.loads(out.read_text())["n"] == 4
+        assert json.loads(out.read_text(encoding="utf-8"))["n"] == 4
 
     def test_header_and_headerless_agree(self, tmp_path):
         with_header = write(tmp_path / "h.csv", "a,b\n" + CROSS_CSV)
@@ -114,7 +114,7 @@ class TestInputHandling:
             out = tmp_path / f"out{i}.json"
             assert main(["estimate", "--input", src, "--output", str(out),
                          "--method", "fdb-l2", "--alpha", "1.0", "--no-reweight"]) == 0
-            docs.append(json.loads(out.read_text()))
+            docs.append(json.loads(out.read_text(encoding="utf-8")))
         assert docs[0]["mu"] == docs[1]["mu"]
         assert docs[0]["sigma"] == docs[1]["sigma"]
 
@@ -226,7 +226,9 @@ class TestReadMatrixCsv:
     def test_full_precision_matrix_bitwise(self, tmp_path, rng):
         x = rng.standard_normal((300, 40)) * 10.0 ** rng.integers(-300, 300, size=(300, 40))
         path = tmp_path / "x.csv"
-        np.savetxt(path, x, fmt="%.17g", delimiter=",")
+        # An open handle: given a path, numpy first opens it without an encoding.
+        with open(path, "w", encoding="utf-8") as fh:
+            np.savetxt(fh, x, fmt="%.17g", delimiter=",")
         new, reference = read_both(str(path))
         assert new == reference
         assert np.array_equal(cli.read_matrix_csv(str(path)), x)
@@ -297,7 +299,7 @@ class TestBenchmark:
             path = tmp_path / name
             args[2] = str(path)
             assert main(args) == 0
-            contents.append(path.read_text())
+            contents.append(path.read_text(encoding="utf-8"))
         capsys.readouterr()
         assert mask_seconds_rows(contents[0]) == mask_seconds_rows(contents[1])
         lines = contents[0].splitlines()
@@ -312,7 +314,7 @@ class TestBenchmark:
                      "--replicates", "2", "--methods", "fdb-l2"])
         assert code == 0
         assert "flagged" in capsys.readouterr().err
-        rows = out.read_text().splitlines()[1:]
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
         assert all(row.endswith(",0") for row in rows)  # zero successful replicates
 
     def test_unknown_setting_rejected(self, tmp_path):
@@ -338,7 +340,7 @@ class TestPca:
         path2 = write(tmp_path / "sub2.csv", "\n".join(",".join(repr(float(v)) for v in row) for row in x_full))
         assert main(["pca", "--input", str(path2), "--output", str(out),
                      "--components", "2", "--method", "fdb-l2"]) == 0
-        od = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+        od = [float(line.split(",")[2]) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
         assert max(od) < 1e-4
 
     def test_outputs_and_determinism(self, sample_csv, tmp_path):
@@ -347,11 +349,11 @@ class TestPca:
             assert main(["pca", "--input", sample_csv, "--output", str(out),
                          "--components", "2", "--seed", "4"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-        model = json.loads((tmp_path / "d1.csv.model.json").read_text())
+        model = json.loads((tmp_path / "d1.csv.model.json").read_text(encoding="utf-8"))
         assert len(model["loadings"]) == 4 and len(model["loadings"][0]) == 2
         assert len(model["eigenvalues"]) == 2
         assert model["eigenvalues"][0] >= model["eigenvalues"][1]
-        lines = out1.read_text().splitlines()
+        lines = out1.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "index,sd,od,category,distance,flag"
         assert len(lines) == 121
 
@@ -359,11 +361,11 @@ class TestPca:
         out = tmp_path / "d.csv"
         assert main(["pca", "--input", sample_csv, "--output", str(out),
                      "--components", "3", "--seed", "11"]) == 0
-        x = np.loadtxt(sample_csv, delimiter=",")
+        x = np.loadtxt(sample_csv, delimiter=",", encoding="utf-8")
         report = fdb_estimate(x, EstimatorConfig(seed=11))
         model = applications.robust_pca(x, report.estimate, 3)
         diag = applications.pca_diagnostics(x, model)
-        sd = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        sd = [float(line.split(",")[1]) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
         assert np.allclose(sd, diag.sd, rtol=0, atol=0)
 
 
@@ -374,7 +376,7 @@ class TestDetect:
                      "--rule", "top:4", "--method", "fdb-l2", "--alpha", "1.0",
                      "--no-reweight"])
         assert code == 0
-        flags = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
+        flags = [line.split(",")[2] for line in out.read_text(encoding="utf-8").splitlines()[1:]]
         assert flags == ["1", "1", "1", "1"]
 
     def test_auc_on_separated_data(self, tmp_path):
@@ -391,7 +393,7 @@ class TestDetect:
                      "--labels", labels_path, "--rule", "top:5",
                      "--summary-output", str(summary)])
         assert code == 0
-        doc = json.loads(summary.read_text())
+        doc = json.loads(summary.read_text(encoding="utf-8"))
         assert doc["auc"] == 1.0
         assert doc["flagged"] == 5
 
@@ -399,10 +401,10 @@ class TestDetect:
         out = tmp_path / "flags.csv"
         assert main(["detect", "--input", sample_csv, "--output", str(out),
                      "--rule", "chi2:0.975", "--seed", "2"]) == 0
-        x = np.loadtxt(sample_csv, delimiter=",")
+        x = np.loadtxt(sample_csv, delimiter=",", encoding="utf-8")
         report = fdb_estimate(x, EstimatorConfig(seed=2))
         result = applications.detect_outliers(x, report.estimate, rule="chi2:0.975")
-        got = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        got = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
         assert np.allclose([float(g[1]) for g in got], result.distances, rtol=0, atol=0)
         assert [int(g[2]) for g in got] == [int(f) for f in result.flags]
 
@@ -417,7 +419,7 @@ class TestDepthCommand:
         out = tmp_path / "depth.csv"
         assert main(["depth", "--input", str(path), "--output", str(out),
                      "--depth", "l2"]) == 0
-        assert out.read_text() == "index,depth\n0,1.0\n"
+        assert out.read_text(encoding="utf-8") == "index,depth\n0,1.0\n"
 
     def test_deterministic_and_matches_library(self, sample_csv, tmp_path):
         out1, out2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
@@ -425,9 +427,9 @@ class TestDepthCommand:
             assert main(["depth", "--input", sample_csv, "--output", str(out),
                          "--depth", "projection", "--seed", "13", "--k", "500"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-        x = np.loadtxt(sample_csv, delimiter=",")
+        x = np.loadtxt(sample_csv, delimiter=",", encoding="utf-8")
         expected = depth.projection_depth(x, depth.sample_directions(4, 500, 13))
-        got = [float(line.split(",")[1]) for line in out1.read_text().splitlines()[1:]]
+        got = [float(line.split(",")[1]) for line in out1.read_text(encoding="utf-8").splitlines()[1:]]
         assert np.allclose(got, expected, rtol=0, atol=0)
 
 
@@ -553,7 +555,7 @@ class TestThreadedDepth:
             out = tmp_path / f"est{threads}.json"
             assert main(["estimate", "--input", src, "--output", str(out), "--method", method,
                          "--seed", "4", "--threads", threads]) == 0
-            docs.append(mask_timing(out.read_text()).replace(f'"threads": {threads}', '"threads": <n>'))
+            docs.append(mask_timing(out.read_text(encoding="utf-8")).replace(f'"threads": {threads}', '"threads": <n>'))
         assert pools == [2]
         assert docs[0] == docs[1]
 
@@ -575,4 +577,4 @@ class TestModuleEntryPoint:
             capture_output=True,
         )
         assert proc.returncode == 0
-        assert json.loads(out.read_text())["mu"] == [0.0, 0.0]
+        assert json.loads(out.read_text(encoding="utf-8"))["mu"] == [0.0, 0.0]

@@ -1,8 +1,12 @@
 import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdb import depth
 from fdb.estimators import EstimatorConfig, fdb_estimate
@@ -206,6 +210,18 @@ def _peak_bytes(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def _check_l2_depth_against_reference(monkeypatch, rng, p, offset, rows):
+    """L2 depth of 150 samples in blocks of ``rows`` of their m = 146
+    distinct rows, against the oracle. The copies of row 3 lie in other
+    blocks than row 3 itself and must get its depth."""
+    monkeypatch.setattr(depth, "_BLOCK_BYTES", 8 * 146 * rows)
+    x = rng.standard_normal((150, p)) + offset
+    x[[20, 75, 120, 149]] = x[3]
+    got = l2_depth(x)
+    assert np.max(np.abs(got - l2_depth_reference(x))) <= 1e-12
+    assert np.unique(got[[3, 20, 75, 120, 149]]).size == 1
+
+
 class TestDepthKernels:
     """The blocked kernels against the plain references in ``oracles``."""
 
@@ -240,12 +256,17 @@ class TestDepthKernels:
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     def test_l2_depth_matches_reference(self, monkeypatch, rng, p, offset):
         # Blocks of 16 rows, so the Gram path runs over several blocks.
-        monkeypatch.setattr(depth, "_BLOCK_BYTES", 8 * 150 * 16)
-        x = rng.standard_normal((150, p)) + offset
-        x[[20, 75, 149]] = x[3]
-        got = l2_depth(x)
-        assert np.max(np.abs(got - l2_depth_reference(x))) <= 1e-12
-        assert np.unique(got[[3, 20, 75, 149]]).size == 1
+        _check_l2_depth_against_reference(monkeypatch, rng, p, offset, rows=16)
+
+    @pytest.mark.parametrize("p", [depth._L2_GRAM_MIN_P - 1, 40])
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("rows", [1, 7, 146])
+    def test_l2_depth_matches_reference_for_any_block_size(
+        self, monkeypatch, rng, p, offset, rows
+    ):
+        # Blocks of 1 row, of 7 rows (which do not divide m = 146), or of
+        # all rows.
+        _check_l2_depth_against_reference(monkeypatch, rng, p, offset, rows)
 
     @pytest.mark.parametrize("p", [3, depth._L2_GRAM_MIN_P])
     def test_l2_depth_extreme_scale(self, rng, p):
@@ -313,6 +334,52 @@ class TestThreadCount:
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     @pytest.mark.parametrize("threads", [2, 3])
+    def test_failing_block_is_raised_without_deadlock(
+        self, rng, monkeypatch, one_block_per_worker, threads
+    ):
+        # The second block to take its square roots raises. Workers waiting
+        # for that block's turn must be released, and the error re-raised.
+        monkeypatch.setattr(depth, "_BLOCK_BYTES", 8 * 300 * 2)
+        x = rng.standard_normal((300, 20))
+        sqrt, calls, lock = np.sqrt, [], threading.Lock()
+
+        def failing_sqrt(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                if len(calls) == 2:
+                    raise MemoryError("second block")
+            return sqrt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sqrt", failing_sqrt)
+        reductions = []
+
+        class Recorded(depth._BlockOrderSum):
+            def __init__(self, m):
+                super().__init__(m)
+                reductions.append(self)
+
+        monkeypatch.setattr(depth, "_BlockOrderSum", Recorded)
+        outcome = []
+
+        def call():
+            try:
+                l2_depth(x, threads)
+            except MemoryError as exc:
+                outcome.append(exc)
+
+        helper = threading.Thread(target=call, daemon=True)
+        helper.start()
+        helper.join(10.0)
+        hung = helper.is_alive()
+        for reduction in reductions if hung else ():
+            # Free the stuck workers, or the pool's exit hook waits for them.
+            with reduction._turn:
+                reduction._failed = True
+                reduction._turn.notify_all()
+        assert not hung, "l2_depth did not return within 10 s"
+        assert [str(exc) for exc in outcome] == ["second block"]
+
+    @pytest.mark.parametrize("threads", [2, 3])
     def test_memory_bounded_per_worker(self, rng, pools, threads):
         # Each worker holds two blocks, so the single-thread bound of
         # test_memory_bounded_by_block_budget grows by two blocks per worker.
@@ -353,3 +420,61 @@ class TestThreadCount:
             l2_depth(rng.standard_normal((10, 2)), 0)
         with pytest.raises(ValueError):
             l2_depth(rng.standard_normal((10, 2)), 0)
+
+
+class TestBlockOrderSum:
+    """The reduction behind the Gram path of L2 depth."""
+
+    def test_adds_in_block_order_whatever_the_delivery_order(self):
+        # 1 + 2**-53 rounds to 1, so only the order 0, 1, 2 gives exactly 1.
+        sums = depth._BlockOrderSum(1)
+        for block, value in [(2, 2.0**-53), (1, 2.0**-53), (0, 1.0)]:
+            assert sums.add(block, 0, np.array([value]))
+        assert sums.total[0] == 1.0
+
+    def test_fail_releases_a_worker_waiting_for_its_turn(self):
+        sums = depth._BlockOrderSum(3)
+        result = []
+        ahead = depth._L2_LOOKAHEAD + 1
+        helper = threading.Thread(
+            target=lambda: result.append(sums.add(ahead, 0, np.ones(3))), daemon=True
+        )
+        helper.start()
+        helper.join(0.2)
+        assert helper.is_alive() and result == []
+        sums.fail()
+        helper.join(10.0)
+        assert not helper.is_alive() and result == [False]
+        assert not sums.add(0, 0, np.ones(3))
+        assert not sums.total.any()
+
+
+@st.composite
+def _l2_inputs(draw):
+    """Sample matrices with duplicate rows, a block budget and a thread count."""
+    n = draw(st.integers(2, 300))
+    p = draw(st.sampled_from([1, 3, 15, *range(16, 49)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.standard_normal((n, p))
+    else:
+        x = rng.integers(-3, 4, size=(n, p)).astype(float)
+    copies = draw(st.integers(0, n // 2))
+    x[rng.integers(0, n, copies)] = x[rng.integers(0, n, copies)]
+    rows = draw(st.one_of(st.integers(1, 8), st.integers(1, n)))
+    return x, rows, draw(st.integers(2, 4)), rng.permutation(n)
+
+
+class TestL2DepthProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_l2_inputs())
+    def test_threads_reference_and_permutation(self, case):
+        x, rows, threads, perm = case
+        m = np.unique(x, axis=0).shape[0]
+        with mock.patch.object(depth, "_BLOCK_BYTES", 8 * m * rows), \
+                mock.patch.object(depth, "_L2_BLOCKS_PER_WORKER", 1):
+            got = l2_depth(x, 1)
+            assert np.array_equal(l2_depth(x, threads), got)
+            assert np.max(np.abs(got - l2_depth_reference(x))) <= 1e-12
+            # A permutation moves pairs between strips, so only close.
+            assert np.max(np.abs(l2_depth(x[perm], threads) - got[perm])) <= 1e-12

@@ -252,9 +252,9 @@ class TestRunBenchmark:
             [BenchmarkCell("A", "none", 0.0, 0.0, "fdb-l2")], replicates=2, seed=5
         )
         path = tmp_path / "bench.csv"
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             export_benchmark_csv(rows, fh)
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "setting,kind,epsilon,r,method,metric,mean,sd,replicates"
         assert len(lines) == 1 + 5  # five metrics for one cell
         first = lines[1].split(",")
