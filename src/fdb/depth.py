@@ -12,7 +12,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -28,30 +28,45 @@ from .errors import (
 
 # Byte budget of one working block: each worker thread of projection depth
 # holds two blocks of directions x samples, each worker of L2 depth one block
-# of rows x samples, so their memory beyond a copy of the data stays bounded
-# whatever n and k are. The block size must not depend on the thread count:
-# OpenBLAS picks its kernel by operand shape, so only equal blocks give
-# bitwise-equal depths for every count. 256 KiB lets two workers hold what
-# one worker held at 512 KiB; at 2000 x 200 with one BLAS thread it makes a
-# single worker 5% (projection, k = 2000) and 19% (L2) slower than 512 KiB.
+# of rows x samples, so their memory stays bounded whatever n and k are. A
+# projection block is widened to at least p / 4 directions
+# (``_projection_rows``). The block size must not depend on the thread
+# count: OpenBLAS picks its kernel by operand shape, so only equal blocks
+# give bitwise-equal depths for every count. 256 KiB lets two workers hold
+# what one worker held at 512 KiB; at 2000 x 200 with one BLAS thread it
+# makes a single L2 worker 19% slower than 512 KiB. There it holds 16
+# projection directions, and the floor widens them to 50: with k = 2000,
+# directions drawn in the kernel, blocks of 25 and 50 took 0.88x and 0.77x
+# the time of 16 on one worker, 0.86x and 0.72x on two (medians of 25).
 _BLOCK_BYTES = 256 * 1024
 
 # A worker thread costs about 80 us to start and join, and on a two-vCPU host
 # the workers also queue for the interpreter lock between numpy calls. So the
 # kernels add a worker only per this many blocks. A projection block (two
-# single-kth selections per direction) takes 0.15-0.2 ms, 0.3 ms at p = 200.
-# Two workers gain where the matrix product is a large share of a block:
-# 0.67x the one-worker time at n = 2000, p = 200 (125 blocks) and 0.77x at
-# n = 400, p = 200 (25 blocks). With p <= 100 and k = 1000 they took 1.04x
-# to 1.39x the time from 4 to 63 blocks (n = 100 to 2000). The block count
-# alone does not separate these cases, so the count stays at 2. An L2 block
-# takes 0.05-0.13 ms on average; a Gram strip is half a block of rows x
-# samples on average. Two workers took 0.77x-1.27x the one-worker time at 8
-# blocks (n = 512, p = 5 to 100) and gained from 17 blocks on with pairwise
+# single-kth selections per direction) takes 0.15-0.2 ms, 0.3 ms with 16
+# directions at p = 200. Two workers gain where the matrix product is a large
+# share of a block: 0.67x the one-worker time at n = 2000, p = 200 (125 blocks
+# of 16) and 0.77x at n = 400, p = 200 (25 blocks); with the 40 blocks of 50
+# that ``_projection_rows`` gives at 2000 x 200 they took 0.55x (0.59x with
+# 125 blocks, measured alongside). With p <= 100 and k = 1000 they took 1.04x
+# to 1.39x the time from 4 to 63 blocks (n = 100 to 2000); measured again in a
+# slow phase of the host, with the directions drawn in the kernel, 13 blocks
+# at 400 x 40 took 0.84x and 7 blocks at 200 x 5 0.97x. The block count alone
+# does not separate these cases, so the count stays at 2. An L2 block takes
+# 0.05-0.13 ms on average; a Gram strip is half a block of rows x samples on
+# average. Two workers took 0.77x-1.27x the one-worker time at 8 blocks
+# (n = 512, p = 5 to 100) and gained from 17 blocks on with pairwise
 # differences (0.67x at p = 5). Gram strips took 0.92x-1.16x from 17 to 32
 # blocks (p = 20 and 100) and 0.58x at 125 blocks (n = 2000, p = 200).
 _PROJECTION_BLOCKS_PER_WORKER = 2
 _L2_BLOCKS_PER_WORKER = 8
+
+# Byte budget of one chunk of a drawn direction set: projection depth draws
+# whole blocks of directions per call of the generator, and normalizing a
+# chunk holds its squares as well. A quarter block keeps both well below the
+# k x p set it replaces (320 KB at k = 1000, p = 40, where a chunk holds two
+# blocks of 81), and still draws the 1000 x 5 set of n = 200 in one call.
+_CHUNK_BYTES = _BLOCK_BYTES // 4
 
 # An L2 worker may finish this many blocks ahead of the block whose column
 # sums are due next before it waits. In strict lock-step (0) a stall of one
@@ -96,16 +111,26 @@ def _worker_count(threads: "int | None") -> int:
     return threads
 
 
+def _workers(threads: "int | None", blocks: int, blocks_per_worker: int) -> int:
+    """Worker threads for ``blocks`` blocks: the thread count, at most one
+    worker per ``blocks_per_worker`` blocks."""
+    return max(1, min(_worker_count(threads), blocks // blocks_per_worker))
+
+
+def _in_pool(work, args: list) -> list:
+    """``[work(a) for a in args]``, each call in a worker thread of its own."""
+    with ThreadPoolExecutor(max_workers=len(args)) as pool:
+        return list(pool.map(work, args))
+
+
 def _map_blocks(work, starts: range, threads: "int | None", blocks_per_worker: int) -> list:
-    """Deal the block ``starts`` round-robin to T workers (worker w takes
-    blocks w, w + T, ...) and return each worker's ``work(starts)``, in
-    worker order. T is the thread count, at most one worker per
-    ``blocks_per_worker`` blocks; a single worker runs inline."""
-    workers = max(1, min(_worker_count(threads), len(starts) // blocks_per_worker))
+    """Deal the block ``starts`` round-robin to the ``_workers`` (worker w
+    takes blocks w, w + T, ...) and return each worker's ``work(starts)``,
+    in worker order; a single worker runs inline."""
+    workers = _workers(threads, len(starts), blocks_per_worker)
     if workers == 1:
         return [work(starts)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, [starts[w::workers] for w in range(workers)]))
+    return _in_pool(work, [starts[w::workers] for w in range(workers)])
 
 
 def default_direction_count(p: int) -> int:
@@ -123,41 +148,78 @@ def as_data_matrix(data) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
 class DirectionSet:
-    """A fixed set of unit projection directions, reproducible from its seed."""
+    """A fixed set of k unit projection directions in R^p, reproducible from
+    its seed.
 
-    directions: np.ndarray  # (k, p), rows have Euclidean norm 1
-    seed: int
+    ``DirectionSet(directions, seed)`` holds an explicit (k, p) array whose
+    rows have Euclidean norm 1. ``sample_directions`` returns a drawn set,
+    which holds only p, k and the seed: ``projection_depth`` draws its
+    directions block by block as it consumes them, and ``directions`` draws
+    the whole (k, p) array on first use and keeps it. Both give the same
+    bits.
+    """
+
+    def __init__(self, directions: np.ndarray, seed: int):
+        self._given = directions
+        self.seed = seed
+        self._shape = directions.shape
+
+    @classmethod
+    def _drawn(cls, p: int, k: int, seed: int) -> "DirectionSet":
+        dirs = cls.__new__(cls)
+        dirs._given, dirs.seed, dirs._shape = None, seed, (k, p)
+        return dirs
 
     @property
     def k(self) -> int:
-        return self.directions.shape[0]
+        return self._shape[0]
 
     @property
     def p(self) -> int:
-        return self.directions.shape[1]
+        return self._shape[1]
+
+    @property
+    def drawn(self) -> bool:
+        """Whether the set is drawn from its seed rather than given."""
+        return self._given is None
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        if self._given is not None:
+            return self._given
+        rng = np.random.default_rng(self.seed)
+        u = rng.standard_normal(self._shape)
+        _normalize(u, rng)
+        return u
 
 
 def sample_directions(p: int, k: int, seed: int) -> DirectionSet:
-    """Draw k independent Uniform(sphere) directions in R^p.
+    """k independent Uniform(sphere) directions in R^p, drawn from ``seed``.
 
     Each direction is a standard-normal vector normalized to unit length;
-    the zero-norm draw (a probability-zero event) is redrawn.
+    the zero-norm draw (a probability-zero event) is redrawn. The arguments
+    are checked here, but nothing is drawn: ``projection_depth`` draws the
+    directions as it consumes them, so the k x p set is never held, and
+    ``.directions`` draws them all on first use.
     """
     if p < 1:
         raise DimensionError(f"dimension must be positive, got {p}")
     if k < 1:
         raise InvalidConfig(f"direction count must be positive, got {k}")
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((k, p))
+    return DirectionSet._drawn(p, k, seed)
+
+
+def _normalize(u: np.ndarray, rng: np.random.Generator) -> None:
+    """Divide the rows of ``u`` by their norms in place, after redrawing
+    from ``rng`` every row of norm 0 until none is left. Rows of zeros are
+    all redrawn, in index order."""
     norms = _row_norms(u)
     while np.any(norms == 0.0):
         bad = norms == 0.0
-        u[bad] = rng.standard_normal((int(bad.sum()), p))
+        u[bad] = rng.standard_normal((int(bad.sum()), u.shape[1]))
         norms = _row_norms(u)
     u /= norms[:, None]
-    return DirectionSet(u, seed)
 
 
 def _row_norms(u: np.ndarray) -> np.ndarray:
@@ -169,6 +231,83 @@ def _row_norms(u: np.ndarray) -> np.ndarray:
     )
 
 
+class _DirectionBlocks:
+    """Hands out the directions of a set in blocks of ``rows``, in index
+    order, to any number of worker threads.
+
+    An explicit set's blocks are views of its array. A drawn set is drawn
+    from one ``np.random.default_rng(seed)`` in index order, in chunks of
+    whole blocks of at most ``_CHUNK_BYTES``, so its blocks hold the bits of
+    ``DirectionSet.directions``. Each chunk is drawn and normalized under the
+    lock when the blocks before it are taken, and its blocks are views of
+    it, so a chunk lives until its last block is done. The first chunk is
+    drawn here, before the workers allocate their blocks. A row drawn with
+    norm 0 stays zeros, whose MAD of 0 makes ``projection_depth`` skip it;
+    after the last chunk these rows are redrawn as
+    ``DirectionSet.directions`` redraws them and handed out last.
+    """
+
+    __slots__ = ("_rows", "_lock", "_next", "_offset", "_source", "_rng", "_shape",
+                 "_chunk_rows", "_zero_rows")
+
+    def __init__(self, dirs: DirectionSet, rows: int):
+        self._rows = rows
+        self._lock = threading.Lock()
+        self._next = 0
+        self._offset = 0  # index of the first row of ``_source``
+        if dirs.drawn:
+            self._shape = dirs.k, dirs.p
+            self._rng = np.random.default_rng(dirs.seed)
+            self._chunk_rows = max(1, _CHUNK_BYTES // (8 * dirs.p * rows)) * rows
+            self._zero_rows = 0
+            self._source = None
+            self._refill()
+        else:
+            self._rng = None
+            self._source = dirs.directions
+
+    def take(self) -> "np.ndarray | None":
+        """The next block of directions; None once every block is taken."""
+        with self._lock:
+            if self._next == self._offset + len(self._source) and not self._refill():
+                return None
+            start = self._next - self._offset
+            block = self._source[start : start + self._rows]
+            self._next += len(block)
+            return block
+
+    def _refill(self) -> bool:
+        """Draw the next chunk, else the redrawn zero-norm rows; False when
+        nothing is left to draw (``_rng`` is None), as for an explicit set.
+        Called under the lock."""
+        if self._rng is None:
+            return False
+        k, p = self._shape
+        if self._next < k:
+            source = self._rng.standard_normal((min(self._chunk_rows, k - self._next), p))
+            norms = _row_norms(source)
+            zero = norms == 0.0
+            self._zero_rows += int(zero.sum())
+            norms[zero] = 1.0  # the row stays zeros
+            source /= norms[:, None]
+        else:
+            source = np.zeros((self._zero_rows, p))
+            _normalize(source, self._rng)
+            self._zero_rows = 0
+        self._source, self._offset = source, self._next
+        if self._next + len(source) >= k and not self._zero_rows:
+            self._rng = None
+        return True
+
+
+def _projection_rows(n: int, p: int) -> int:
+    """Directions per projection block: as many as fit in one block, and at
+    least p / 4, so that a block's projections are at least a quarter of the
+    data's bytes. Each block's matrix product packs all of the data once,
+    and a product of few rows is dominated by that packing."""
+    return max(_block_rows(n), -(-p // 4))
+
+
 def projection_depth(data, dirs: DirectionSet, threads: "int | None" = None) -> np.ndarray:
     """Approximate projection depth of every sample.
 
@@ -177,26 +316,26 @@ def projection_depth(data, dirs: DirectionSet, threads: "int | None" = None) -> 
     Directions with MAD(u'X) = 0 carry no usable scale and are skipped;
     if every direction is unusable the data are degenerate.
 
-    Directions are processed in blocks of at most ``_BLOCK_BYTES`` of
-    projections, so the working memory is two such blocks per worker thread
-    besides the data. ``threads`` workers (``None``: FDB_THREADS, else 1)
-    share the blocks; the depths are bitwise equal for every count.
+    Directions are processed in blocks of ``_projection_rows(n, p)``, so the
+    working memory is two blocks of projections per worker thread, plus, for
+    a drawn set, the chunks of at most ``_CHUNK_BYTES`` of directions that
+    the workers' blocks come from, whatever k is. ``threads`` workers
+    (``None``: FDB_THREADS, else 1) take the blocks in index order; the
+    depths are bitwise equal for every count.
     """
     x = as_data_matrix(data)
-    if dirs.p != x.shape[1]:
-        raise DimensionError(
-            f"directions have dimension {dirs.p}, data has dimension {x.shape[1]}"
-        )
-    n = x.shape[0]
-    rows = min(_block_rows(n), dirs.k)
+    n, p = x.shape
+    if dirs.p != p:
+        raise DimensionError(f"directions have dimension {dirs.p}, data has dimension {p}")
+    rows = min(_projection_rows(n, p), dirs.k)
+    blocks = _DirectionBlocks(dirs, rows)
 
-    def running_max(starts):
+    def running_max(blocks):
         proj = np.empty((rows, n))  # one direction per row
         work = np.empty((rows, n))  # partitioned copy for the medians
         outlyingness = np.zeros(n)
         usable = False
-        for start in starts:
-            block = dirs.directions[start : start + rows]
+        while (block := blocks.take()) is not None:
             dev = proj[: block.shape[0]]
             part = work[: block.shape[0]]
             np.matmul(block, x.T, out=dev)
@@ -213,9 +352,11 @@ def projection_depth(data, dirs: DirectionSet, threads: "int | None" = None) -> 
             np.maximum(outlyingness, dev.max(axis=0), out=outlyingness)
         return outlyingness, usable
 
-    results = _map_blocks(
-        running_max, range(0, dirs.k, rows), threads, _PROJECTION_BLOCKS_PER_WORKER
-    )
+    workers = _workers(threads, -(-dirs.k // rows), _PROJECTION_BLOCKS_PER_WORKER)
+    if workers == 1:
+        results = [running_max(blocks)]
+    else:
+        results = _in_pool(running_max, [blocks] * workers)
     if not any(usable for _, usable in results):
         raise DegenerateData("every projection direction has zero MAD")
     # The maximum is exact, so merging the workers' maxima in any order

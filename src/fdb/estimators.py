@@ -342,8 +342,8 @@ def _finish_report(
 
 
 def _depths(x: np.ndarray, config: EstimatorConfig) -> np.ndarray:
-    # Scores in depth order. A function of its own so the k x p direction
-    # set is freed before the estimation tail runs.
+    # Scores in depth order. projection_depth draws the sampled directions
+    # as it consumes them, so the k x p set is never held.
     if config.depth == "projection":
         p = x.shape[1]
         dirs = depth_mod.sample_directions(p, config.resolve_k(p), config.seed)

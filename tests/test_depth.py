@@ -59,7 +59,7 @@ class TestSampleDirections:
         u = np.random.default_rng(4).standard_normal((k, p))
         expected = u / np.linalg.norm(u, axis=1)[:, None]
         assert np.array_equal(sample_directions(p, k, seed=4).directions, expected)
-        assert _peak_bytes(sample_directions, p, k, 4) < 1.25 * 8 * k * p
+        assert _peak_bytes(lambda: sample_directions(p, k, 4).directions) < 1.25 * 8 * k * p
 
 
 class TestProjectionDepth:
@@ -210,6 +210,16 @@ def _peak_bytes(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def _projection_bound(n: int, p: int, threads: int) -> int:
+    """Memory bound of projection depth: two blocks of projections per
+    worker and ``_BLOCK_BYTES``, four chunks of drawn directions, which
+    covers the chunk being drawn, the squares of its norms and the chunks
+    the workers' blocks still view, plus 64n for the workers' length-n
+    vectors. No term grows with k, and none is a copy of the data."""
+    block = 8 * n * depth._projection_rows(n, p)
+    return 2 * threads * block + depth._BLOCK_BYTES + 64 * n
+
+
 def _check_l2_depth_against_reference(monkeypatch, rng, p, offset, rows):
     """L2 depth of 150 samples in blocks of ``rows`` of their m = 146
     distinct rows, against the oracle. The copies of row 3 lie in other
@@ -279,14 +289,13 @@ class TestDepthKernels:
 
     @pytest.mark.parametrize("p", [5, 50])
     def test_memory_bounded_by_block_budget(self, rng, p):
-        # Two blocks, one copy of the data and a few length-n vectors; the
-        # unblocked-in-n kernels held several (512 x n) blocks at once.
+        # L2: two blocks, one copy of the data and a few length-n vectors;
+        # the unblocked-in-n kernels held several (512 x n) blocks at once.
         n = 5000
         x = rng.standard_normal((n, p))
-        bound = 2 * depth._BLOCK_BYTES + 8 * n * p + 64 * n
-        assert _peak_bytes(l2_depth, x) < bound
+        assert _peak_bytes(l2_depth, x) < 2 * depth._BLOCK_BYTES + 8 * n * p + 64 * n
         dirs = sample_directions(p, 1000, seed=0)
-        assert _peak_bytes(projection_depth, x, dirs) < bound
+        assert _peak_bytes(projection_depth, x, dirs) < _projection_bound(n, p, 1)
 
 
 class TestThreadCount:
@@ -296,13 +305,12 @@ class TestThreadCount:
     @pytest.mark.parametrize("n,p", [(201, 7), (333, 13), (400, 40), (2000, 200)])
     def test_bitwise_equal_for_every_thread_count(self, one_block_per_worker, pools, n, p):
         # Over half the samples have x0 = 0, so e0 has zero MAD. It fills
-        # the start of block 1, which belongs to worker 1 for 2 and 3
-        # threads, so worker 0 sees usable directions only.
+        # the start of block 1, which another worker than block 0's may take.
         rng = np.random.default_rng(n)
         x = rng.standard_normal((n, p))
         x[: n // 2 + 1, 0] = 0.0
         directions = sample_directions(p, 1000, seed=p).directions
-        rows = depth._block_rows(n)
+        rows = depth._projection_rows(n, p)
         directions[rows : rows + 3] = np.eye(p)[0]
         dirs = DirectionSet(directions, seed=p)
         proj, l2, subsets = {}, {}, {}
@@ -381,14 +389,14 @@ class TestThreadCount:
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_memory_bounded_per_worker(self, rng, pools, threads):
-        # Each worker holds two blocks, so the single-thread bound of
-        # test_memory_bounded_by_block_budget grows by two blocks per worker.
+        # Each worker holds two blocks, so the single-thread bounds of
+        # test_memory_bounded_by_block_budget grow by two blocks per worker.
         n, p = 5000, 50
         x = rng.standard_normal((n, p))
         bound = 2 * threads * depth._BLOCK_BYTES + 8 * n * p + 64 * n
         assert _peak_bytes(l2_depth, x, threads) < bound
         dirs = sample_directions(p, 1000, seed=0)
-        assert _peak_bytes(projection_depth, x, dirs, threads) < bound
+        assert _peak_bytes(projection_depth, x, dirs, threads) < _projection_bound(n, p, threads)
         assert pools == [threads, threads]
 
     def test_thread_count_from_argument_then_environment(self, rng, monkeypatch, pools):
@@ -420,6 +428,102 @@ class TestThreadCount:
             l2_depth(rng.standard_normal((10, 2)), 0)
         with pytest.raises(ValueError):
             l2_depth(rng.standard_normal((10, 2)), 0)
+
+
+class _ZeroRows:
+    """A Generator whose standard-normal stream of p-vectors comes out as
+    zeros in the given rows, counted over every draw."""
+
+    def __init__(self, rng, p, rows):
+        self._rng, self._p, self._rows, self._drawn = rng, p, rows, 0
+
+    def standard_normal(self, size):
+        values = self._rng.standard_normal(size)
+        first = self._drawn // self._p
+        self._drawn += values.size
+        vectors = values.reshape(-1, self._p)
+        for row in self._rows:
+            if first <= row < first + len(vectors):
+                vectors[row - first] = 0.0
+        return values
+
+
+class TestDirectionStream:
+    """projection_depth draws a sampled set block by block as it consumes it."""
+
+    @pytest.mark.parametrize("n,p,k", [(201, 7, 5000), (400, 40, 1000), (2000, 200, 1237)])
+    def test_streamed_equals_explicit(self, monkeypatch, one_block_per_worker, n, p, k):
+        # Blocks of 163, 81 and 50 directions, chunks of 1141, 162 and 50;
+        # no k is a multiple of its block or chunk.
+        x = np.random.default_rng(n).standard_normal((n, p))
+        drawn = sample_directions(p, k, seed=n)
+        explicit = DirectionSet(sample_directions(p, k, seed=n).directions, seed=n)
+        for threads in (1, 2, 3):
+            assert np.array_equal(
+                projection_depth(x, drawn, threads), projection_depth(x, explicit, threads)
+            )
+        config = {t: EstimatorConfig(k=k, seed=n, threads=t) for t in (1, 2, 3)}
+        streamed = {t: fdb_estimate(x, c) for t, c in config.items()}
+        sample = depth.sample_directions
+
+        def explicit_sample(p, k, seed):
+            return DirectionSet(sample(p, k, seed).directions, seed)
+
+        monkeypatch.setattr(depth, "sample_directions", explicit_sample)
+        for threads, c in config.items():
+            report = fdb_estimate(x, c)
+            assert np.array_equal(streamed[threads].subset, report.subset)
+            assert np.array_equal(streamed[threads].estimate.sigma, report.estimate.sigma)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_each_direction_projected_once(self, monkeypatch, one_block_per_worker, threads):
+        # A direction taken twice would leave the maximum, and so the
+        # depths, unchanged; only the count of projections shows it.
+        n, p, k = 400, 40, 1000
+        x = np.random.default_rng(1).standard_normal((n, p))
+        row_medians, lock, projected = depth.numeric.row_medians, threading.Lock(), []
+
+        def counting(values, work=None):
+            with lock:
+                projected.append(values.shape[0])
+            return row_medians(values, work)
+
+        monkeypatch.setattr(depth.numeric, "row_medians", counting)
+        drawn = sample_directions(p, k, 0)
+        for dirs in (drawn, DirectionSet(sample_directions(p, k, 0).directions, 0)):
+            projected.clear()
+            projection_depth(x, dirs, threads)
+            assert sum(projected) == 2 * k  # a median and a MAD per direction
+
+    def test_zero_norm_rows_are_redrawn(self, monkeypatch, rng, one_block_per_worker):
+        # Blocks of 7 directions, chunks of 14. Rows 5 and 30 come out as
+        # zeros in the first and third chunk; row k, the first redrawn one,
+        # comes out as zeros too and is redrawn once more. With 40
+        # directions in the plane, each one sets the outlyingness of some
+        # samples, so a direction left out shows.
+        n, p, k = 300, 2, 40
+        monkeypatch.setattr(depth, "_BLOCK_BYTES", 8 * n * 7)
+        monkeypatch.setattr(depth, "_CHUNK_BYTES", 8 * p * 14)
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: _ZeroRows(default_rng(seed), p, {5, 30, k})
+        )
+        x = rng.standard_normal((n, p))
+        dirs = sample_directions(p, k, seed=2)
+        got = {threads: projection_depth(x, dirs, threads) for threads in (1, 2, 3)}
+        assert np.array_equal(got[2], got[1]) and np.array_equal(got[3], got[1])
+        directions = dirs.directions
+        assert np.max(np.abs(np.linalg.norm(directions, axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(got[1] - projection_depth_reference(x, directions))) <= 1e-14
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("k", [1000, 50_000])
+    def test_memory_does_not_grow_with_k(self, rng, threads, k):
+        # At k = 50 000 the set alone would take 20 MB.
+        n, p = 5000, 50
+        x = rng.standard_normal((n, p))
+        peak = _peak_bytes(projection_depth, x, sample_directions(p, k, seed=0), threads)
+        assert peak < _projection_bound(n, p, threads)
 
 
 class TestBlockOrderSum:
