@@ -124,9 +124,9 @@ def _in_pool(work, args: list) -> list:
 
 
 def _map_blocks(work, starts: range, threads: "int | None", blocks_per_worker: int) -> list:
-    """Deal the block ``starts`` round-robin to the ``_workers`` (worker w
-    takes blocks w, w + T, ...) and return each worker's ``work(starts)``,
-    in worker order; a single worker runs inline."""
+    """Deal the block ``starts`` round-robin to T = ``_workers(...)``
+    workers (worker w takes blocks w, w + T, ...) and return each worker's
+    ``work(starts)``, in worker order; a single worker runs inline."""
     workers = _workers(threads, len(starts), blocks_per_worker)
     if workers == 1:
         return [work(starts)]
