@@ -28,17 +28,25 @@ from .errors import (
 
 # Byte budget of one working block: each worker thread of projection depth
 # holds two blocks of directions x samples, each worker of L2 depth one block
-# of rows x samples, so their memory stays bounded whatever n and k are. A
-# projection block is widened to at least p / 4 directions
-# (``_projection_rows``). The block size must not depend on the thread
-# count: OpenBLAS picks its kernel by operand shape, so only equal blocks
-# give bitwise-equal depths for every count. 256 KiB lets two workers hold
-# what one worker held at 512 KiB; at 2000 x 200 with one BLAS thread it
-# makes a single L2 worker 19% slower than 512 KiB. There it holds 16
-# projection directions, and the floor widens them to 50: with k = 2000,
-# directions drawn in the kernel, blocks of 25 and 50 took 0.88x and 0.77x
-# the time of 16 on one worker, 0.86x and 0.72x on two (medians of 25).
+# of rows x samples, so their memory stays bounded whatever n and k are. The
+# block size must not depend on the thread count: OpenBLAS picks its kernel
+# by operand shape, so only equal blocks give bitwise-equal depths for every
+# count. 256 KiB lets two workers hold what one worker held at 512 KiB; at
+# 2000 x 200 with one BLAS thread it makes a single L2 worker 19% slower than
+# 512 KiB. There it holds 16 projection directions, which
+# ``_projection_rows`` widens to 50: with k = 2000, directions drawn in the
+# kernel, blocks of 25 and 50 took 0.88x and 0.77x the time of 16 on one
+# worker, 0.86x and 0.72x on two (medians of 25).
 _BLOCK_BYTES = 256 * 1024
+
+# Byte budget of one widened projection block, so that a worker holds at
+# most 2 MiB of projections whatever n and p are (unless one direction's
+# projections alone are larger), where p / 4 directions would take
+# 2 n p bytes. It keeps the 50 directions of 2000 x 200 (65 fit). At
+# 5000 x 200, k = 2000, one BLAS thread, it caps 50 directions at 26: blocks
+# of 6 (unwidened), 13, 26 and 50 took 431, 276, 221 and 209 ms on one
+# worker and 269, 154, 151 and 126 ms on two (medians of 7).
+_PROJECTION_BLOCK_BYTES = 4 * _BLOCK_BYTES
 
 # A worker thread costs about 80 us to start and join, and on a two-vCPU host
 # the workers also queue for the interpreter lock between numpy calls. So the
@@ -62,10 +70,14 @@ _PROJECTION_BLOCKS_PER_WORKER = 2
 _L2_BLOCKS_PER_WORKER = 8
 
 # Byte budget of one chunk of a drawn direction set: projection depth draws
-# whole blocks of directions per call of the generator, and normalizing a
-# chunk holds its squares as well. A quarter block keeps both well below the
-# k x p set it replaces (320 KB at k = 1000, p = 40, where a chunk holds two
-# blocks of 81), and still draws the 1000 x 5 set of n = 200 in one call.
+# whole blocks of directions per call of the generator, at least one, so a
+# chunk holds at most this or one block of directions (80 KB at 2000 x 200).
+# Normalizing a chunk holds its squares as well. A quarter block keeps both
+# well below the k x p set it replaces (320 KB at k = 1000, p = 40, where a
+# chunk holds two blocks of 81), and still draws the 1000 x 5 set of n = 200
+# in one call. Drawing one block per call instead made the 200 x 5 estimate
+# 2.6% slower (8 of 10 pairs) and lowered its peak by 32 KB; at 400 x 40 it
+# was 0.4% slower (7 of 10) and 94 KB lower.
 _CHUNK_BYTES = _BLOCK_BYTES // 4
 
 # An L2 worker may finish this many blocks ahead of the block whose column
@@ -237,14 +249,15 @@ class _DirectionBlocks:
 
     An explicit set's blocks are views of its array. A drawn set is drawn
     from one ``np.random.default_rng(seed)`` in index order, in chunks of
-    whole blocks of at most ``_CHUNK_BYTES``, so its blocks hold the bits of
-    ``DirectionSet.directions``. Each chunk is drawn and normalized under the
-    lock when the blocks before it are taken, and its blocks are views of
-    it, so a chunk lives until its last block is done. The first chunk is
-    drawn here, before the workers allocate their blocks. A row drawn with
-    norm 0 stays zeros, whose MAD of 0 makes ``projection_depth`` skip it;
-    after the last chunk these rows are redrawn as
-    ``DirectionSet.directions`` redraws them and handed out last.
+    whole blocks of at most ``_CHUNK_BYTES`` or one block, whichever is
+    larger, so its blocks hold the bits of ``DirectionSet.directions``.
+    Each chunk is drawn and normalized under the lock when the blocks before
+    it are taken, and its blocks are views of it, so a chunk lives until its
+    last block is done. The first chunk is drawn here, before the workers
+    allocate their blocks. A row drawn with norm 0 stays zeros, whose MAD
+    of 0 makes ``projection_depth`` skip it; after the last chunk these rows
+    are redrawn as ``DirectionSet.directions`` redraws them and handed out
+    last.
     """
 
     __slots__ = ("_rows", "_lock", "_next", "_offset", "_source", "_rng", "_shape",
@@ -301,11 +314,12 @@ class _DirectionBlocks:
 
 
 def _projection_rows(n: int, p: int) -> int:
-    """Directions per projection block: as many as fit in one block, and at
-    least p / 4, so that a block's projections are at least a quarter of the
-    data's bytes. Each block's matrix product packs all of the data once,
-    and a product of few rows is dominated by that packing."""
-    return max(_block_rows(n), -(-p // 4))
+    """Directions per projection block: as many as fit in one block, widened
+    towards p / 4, so that a block's projections are up to a quarter of the
+    data's bytes, as far as ``_PROJECTION_BLOCK_BYTES`` allows. Each block's
+    matrix product packs all of the data once, and a product of few rows is
+    dominated by that packing."""
+    return max(_block_rows(n), min(-(-p // 4), _PROJECTION_BLOCK_BYTES // (8 * n)))
 
 
 def projection_depth(data, dirs: DirectionSet, threads: "int | None" = None) -> np.ndarray:
@@ -318,10 +332,11 @@ def projection_depth(data, dirs: DirectionSet, threads: "int | None" = None) -> 
 
     Directions are processed in blocks of ``_projection_rows(n, p)``, so the
     working memory is two blocks of projections per worker thread, plus, for
-    a drawn set, the chunks of at most ``_CHUNK_BYTES`` of directions that
-    the workers' blocks come from, whatever k is. ``threads`` workers
-    (``None``: FDB_THREADS, else 1) take the blocks in index order; the
-    depths are bitwise equal for every count.
+    a drawn set, the chunks of directions that the workers' blocks come
+    from, each of at most ``_CHUNK_BYTES`` or one block of directions,
+    whatever k is. ``threads`` workers (``None``: FDB_THREADS, else 1) take
+    the blocks in index order; the depths are bitwise equal for every
+    count.
     """
     x = as_data_matrix(data)
     n, p = x.shape

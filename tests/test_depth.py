@@ -212,12 +212,13 @@ def _peak_bytes(fn, *args) -> int:
 
 def _projection_bound(n: int, p: int, threads: int) -> int:
     """Memory bound of projection depth: two blocks of projections per
-    worker and ``_BLOCK_BYTES``, four chunks of drawn directions, which
-    covers the chunk being drawn, the squares of its norms and the chunks
-    the workers' blocks still view, plus 64n for the workers' length-n
-    vectors. No term grows with k, and none is a copy of the data."""
-    block = 8 * n * depth._projection_rows(n, p)
-    return 2 * threads * block + depth._BLOCK_BYTES + 64 * n
+    worker, and chunks of drawn directions: one viewed by each worker's
+    block, the one being drawn and the squares of its norms, plus 64n for
+    the workers' length-n vectors. No term grows with k, and none is a copy
+    of the data."""
+    rows = depth._projection_rows(n, p)
+    chunk = max(depth._CHUNK_BYTES, 8 * p * rows)
+    return 2 * threads * 8 * n * rows + (threads + 2) * chunk + 64 * n
 
 
 def _check_l2_depth_against_reference(monkeypatch, rng, p, offset, rows):
@@ -524,6 +525,26 @@ class TestDirectionStream:
         x = rng.standard_normal((n, p))
         peak = _peak_bytes(projection_depth, x, sample_directions(p, k, seed=0), threads)
         assert peak < _projection_bound(n, p, threads)
+
+    @pytest.mark.parametrize(
+        "n,p,rows",
+        [(200, 5, 163), (400, 40, 81), (2000, 200, 50), (5000, 200, 26), (100_000, 1000, 1)],
+    )
+    def test_block_widening_is_capped(self, n, p, rows):
+        # p / 4 directions would take 2 MB per block at 5000 x 200 and
+        # 200 MB at 100 000 x 1000; the cap keeps 1 MiB, or one direction.
+        assert depth._projection_rows(n, p) == rows
+        assert rows >= depth._block_rows(n)
+        assert 8 * n * rows <= max(depth._PROJECTION_BLOCK_BYTES, 8 * n)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_memory_bounded_where_widening_is_capped(self, rng, threads):
+        n, p = 5000, 200
+        x = rng.standard_normal((n, p))
+        # Blocks of 26 directions, each at most _PROJECTION_BLOCK_BYTES.
+        peak = _peak_bytes(projection_depth, x, sample_directions(p, 200, seed=0), threads)
+        bound = 2 * threads * depth._PROJECTION_BLOCK_BYTES + (threads + 2) * depth._CHUNK_BYTES
+        assert peak < bound + 64 * n
 
 
 class TestBlockOrderSum:
