@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import chain, combinations, islice
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
 
 from . import depth as depth_mod
 from . import numeric
@@ -47,8 +47,9 @@ class LocationScatter:
 
     ``provenance`` records the pipeline stage that produced the estimate:
     raw, reweighted, cstep or oracle. ``lower`` is the Cholesky factor of
-    sigma, computed on first use and kept; the estimate is frozen so the
-    factor cannot go stale.
+    sigma and ``lower_inverse`` its inverse, which the distance passes
+    multiply by. Each is computed on first use and kept; the estimate is
+    frozen so neither can go stale.
     """
 
     mu: np.ndarray
@@ -62,6 +63,10 @@ class LocationScatter:
     @cached_property
     def lower(self) -> np.ndarray:
         return numeric.cholesky(self.sigma)
+
+    @cached_property
+    def lower_inverse(self) -> np.ndarray:
+        return numeric.triangular_inverse(self.lower)
 
 
 @dataclass
@@ -200,18 +205,31 @@ def subset_mean_cov(
 def mahalanobis_sq(data, ls: LocationScatter) -> np.ndarray:
     """Squared Mahalanobis distances of every sample under (mu, sigma).
 
-    Computed through the Cholesky factor as |L^-1 (x - mu)|^2, which is
-    nonnegative by construction. The data are not scanned: a NaN or inf in
-    x or mu, or an overflowing x - mu, raises NonFiniteValues once it makes
-    a distance non-finite.
+    Computed through the inverse Cholesky factor as |L^-1 (x - mu)|^2, which
+    is nonnegative by construction. The rows are taken in blocks of at most
+    ``depth._BLOCK_BYTES``: each block is centred into one reused buffer,
+    multiplied in place by L^-1 (a triangular matrix product, faster than a
+    triangular solve) and reduced to its column sums of squares, so no
+    n x p copy is made. The data are not scanned: a NaN or inf in x or mu,
+    or an overflowing x - mu, raises NonFiniteValues once it makes a
+    distance non-finite.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != ls.p:
         raise DimensionError(f"expected an (n, {ls.p}) sample matrix, got shape {x.shape}")
-    # The centred transpose is Fortran-ordered, so the solve overwrites it
-    # and one n x p array is alive at a time.
-    z = solve_triangular(ls.lower, (x - ls.mu).T, lower=True, overwrite_b=True, check_finite=False)
-    d2 = np.einsum("ij,ij->j", z, z)
+    n, p = x.shape
+    inverse = ls.lower_inverse
+    rows = max(1, depth_mod._BLOCK_BYTES // (8 * p))
+    buffer = np.empty((min(n, rows), p))
+    d2 = np.empty(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = buffer[: stop - start]
+        np.subtract(x[start:stop], ls.mu, out=block)
+        # The transpose of a C-ordered block is Fortran-ordered, so dtrmm
+        # overwrites the block in place.
+        z = dtrmm(1.0, inverse, block.T, lower=1, overwrite_b=1)
+        np.einsum("ij,ij->j", z, z, out=d2[start:stop])
     if not np.isfinite(d2).all():
         raise NonFiniteValues("squared Mahalanobis distances are not finite")
     return d2

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.special import gammaincinv
 
 from .errors import (
@@ -114,10 +114,13 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+_EPS = np.finfo(float).eps
+
+
 def _pivot_tolerance(a: np.ndarray) -> float:
     # Scale-aware singularity threshold: pivots at or below
     # p * eps * max(diag) are treated as zero.
-    return a.shape[0] * np.finfo(float).eps * float(np.max(np.diagonal(a)))
+    return a.shape[0] * _EPS * float(a.diagonal().max())
 
 
 def cholesky(m) -> np.ndarray:
@@ -138,6 +141,23 @@ def cholesky(m) -> np.ndarray:
             f"matrix is not positive definite (pivot {idx})", pivot_index=idx
         )
     return lower
+
+
+def triangular_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangular factor, by one LAPACK dtrtri call.
+
+    Only the lower triangle is inverted; the strict upper triangle is copied
+    through, and the factor itself is left unchanged. Raises
+    NotPositiveDefinite (with the index of the zero diagonal entry) when the
+    factor is singular.
+    """
+    inverse, info = dtrtri(lower, lower=1)
+    if info != 0:
+        raise NotPositiveDefinite(
+            f"triangular factor is singular (diagonal entry {info - 1})",
+            pivot_index=info - 1,
+        )
+    return inverse
 
 
 def log_determinant(lower: np.ndarray) -> float:

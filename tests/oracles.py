@@ -3,15 +3,16 @@
 Everything here deliberately avoids the code paths it is used to check:
 the chi-square CDF is an adaptive quadrature of the density, determinants
 come from cofactor expansion, covariances from two-pass summation loops,
-Mahalanobis distances from an explicit matrix inverse, depths from
-np.median and pairwise differences, and CSV matrices from one float() call
-per cell.
+Mahalanobis distances from an explicit matrix inverse or a triangular
+solve, depths from np.median and pairwise differences, and CSV matrices
+from one float() call per cell.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 from scipy.spatial.distance import cdist
 
@@ -86,6 +87,14 @@ def mahalanobis_sq_inverse(x, mu, sigma):
     inv = np.linalg.inv(np.asarray(sigma, dtype=float))
     diff = x - np.asarray(mu, dtype=float)
     return np.einsum("ij,jk,ik->i", diff, inv, diff)
+
+
+def mahalanobis_sq_solve(x, mu, sigma):
+    """Squared Mahalanobis distances through a triangular solve against
+    numpy's Cholesky factor."""
+    lower = np.linalg.cholesky(np.asarray(sigma, dtype=float))
+    z = solve_triangular(lower, (np.asarray(x, dtype=float) - mu).T, lower=True)
+    return np.einsum("ij,ij->j", z, z)
 
 
 def random_spd(rng, p: int, jitter: float = 1.0) -> np.ndarray:

@@ -288,12 +288,13 @@ def _fit_slope(ps, times):
 def _count_dense_work(monkeypatch):
     """Tally the dense floating-point work of the concentration loop.
 
-    Wraps the three kernels a C-step runs and adds, per call, the flops of
-    the operands actually passed: a triangular solve of n samples against a
-    p x p factor (n p^2), the Gram product of an h-row subset (2 h p^2) and a
-    Cholesky factorization (p^3 / 3). The wrappers replace the module
-    attributes the estimators look up at call time; monkeypatch restores
-    them when the test ends.
+    Wraps the four kernels a C-step runs and adds, per call, the flops of
+    the operands actually passed: a triangular product of n samples with a
+    p x p inverse factor (n p^2), the Gram product of an h-row subset
+    (2 h p^2), a Cholesky factorization (p^3 / 3) and the inversion of its
+    triangular factor (p^3 / 3). The wrappers replace the module attributes
+    the estimators look up at call time; monkeypatch restores them when the
+    test ends.
     """
     tally = {"flops": 0.0, "passes": 0}
 
@@ -310,12 +311,18 @@ def _count_dense_work(monkeypatch):
         tally["flops"] += np.shape(m)[0] ** 3 / 3.0
         return original_factor(m, *args, **kwargs)
 
+    def invert(lower, *args, **kwargs):
+        tally["flops"] += np.shape(lower)[0] ** 3 / 3.0
+        return original_invert(lower, *args, **kwargs)
+
     original_distances = estimators.mahalanobis_sq
     original_moments = estimators.subset_mean_cov
     original_factor = numeric.cholesky
+    original_invert = numeric.triangular_inverse
     monkeypatch.setattr(estimators, "mahalanobis_sq", distances)
     monkeypatch.setattr(estimators, "subset_mean_cov", subset_moments)
     monkeypatch.setattr(numeric, "cholesky", factor)
+    monkeypatch.setattr(numeric, "triangular_inverse", invert)
     return tally
 
 
@@ -329,10 +336,10 @@ def test_criterion_8_scaling_separation(monkeypatch):
     #   spans the whole call; the finishing steps shared with fdb add three
     #   passes to the 140-170 of the pursuit. The wall slope is not held
     #   to 1.8: on BLAS-backed numpy the kernels' throughput rises with p at
-    #   these sizes (the triangular solve alone goes from about 7 to about
-    #   27 GFLOP/s over p = 25..200), so even the bare kernels give a wall
-    #   slope of only 1.3-1.5 and the whole loop about 1.0, while the counted
-    #   work grows with slope about 2.
+    #   these sizes (a distance pass's triangular product alone goes from
+    #   about 7 to about 27 GFLOP/s over p = 25..200), so even the bare
+    #   kernels give a wall slope of only 1.3-1.5 and the whole loop about
+    #   1.0, while the counted work grows with slope about 2.
     # - separation: fdb-pro's wall slope stays below fastmcd's.
     # Wall times rely on the single BLAS thread that conftest.py pins through
     # the environment before numpy is imported.

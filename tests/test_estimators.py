@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fdb import numeric
+from fdb.depth import _BLOCK_BYTES
 from fdb.errors import (
     DegenerateData,
     DimensionError,
@@ -30,7 +31,12 @@ from fdb.estimators import (
     subset_mean_cov,
 )
 from fdb.numeric import chi_square_quantile, cholesky, log_determinant, symmetrize
-from oracles import mahalanobis_sq_inverse, random_spd, two_pass_mean_cov
+from oracles import (
+    mahalanobis_sq_inverse,
+    mahalanobis_sq_solve,
+    random_spd,
+    two_pass_mean_cov,
+)
 
 CROSS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
@@ -136,9 +142,38 @@ class TestMahalanobisSq:
         ls = LocationScatter(rng.standard_normal(3), random_spd(rng, 3))
         assert np.all(mahalanobis_sq(x, ls) >= 0.0)
 
+    # n is not a multiple of the block rows: 6553 at p = 5, 819 at p = 40,
+    # 163 at p = 200, 655 at p = 50.
+    @pytest.mark.parametrize("n,p", [(7, 1), (400, 40), (1001, 200), (5000, 50)])
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_matches_triangular_solve(self, rng, n, p, scale):
+        # A well-conditioned scatter (condition number in the hundreds), where
+        # the two computations agree to a few ulps.
+        mixing = np.linalg.cholesky(random_spd(rng, p)).T
+        x = (rng.standard_normal((n, p)) @ mixing + 3.0) * scale
+        ls = subset_mean_cov(x, np.arange(n))
+        expected = mahalanobis_sq_solve(x, ls.mu, ls.sigma)
+        assert np.max(np.abs(mahalanobis_sq(x, ls) - expected) / expected) <= 1e-13
+
+    def test_peak_is_one_block(self, rng):
+        # The rows are centred block by block into one reused buffer, so
+        # the peak is one block, the factor and its inverse (with the
+        # factorization's p x p temporaries) and the length-n distances.
+        n, p = 20000, 50
+        x = rng.standard_normal((n, p))
+        ls = LocationScatter(np.zeros(p), random_spd(rng, p))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mahalanobis_sq(x, ls)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < _BLOCK_BYTES + 3 * 8 * p * p + 16 * n
+
     def test_one_n_by_p_temporary(self, rng):
-        # The solve overwrites the centred data and does not check it for
-        # finiteness, so the peak is one n x p array and O(n).
+        # The centred rows go through one buffer of at most a block and are
+        # not checked for finiteness, so the peak stays below one n x p array.
         n, p = 2000, 200
         x = rng.standard_normal((n, p))
         ls = LocationScatter(np.zeros(p), np.eye(p))
@@ -186,6 +221,7 @@ class TestFactorOnce:
         ls = LocationScatter(np.zeros(4), random_spd(rng, 4))
         assert ls.lower is ls.lower
         assert np.array_equal(ls.lower, cholesky(ls.sigma))
+        assert ls.lower_inverse is ls.lower_inverse
         assert len(cholesky_calls) == 1
 
     def test_factor_is_lazy(self):
@@ -209,6 +245,23 @@ class TestFactorOnce:
         x = rng.standard_normal((200, 5))
         fdb_estimate(x, EstimatorConfig(depth=depth, k=200, reweight=do_reweight))
         assert len(cholesky_calls) == factors
+
+    # The raw and reweighted scatters each give one distance pass.
+    @pytest.mark.parametrize("do_reweight, inversions", [(True, 2), (False, 1)])
+    def test_fdb_estimate_inverts_each_factor_once(
+        self, rng, monkeypatch, do_reweight, inversions
+    ):
+        calls = []
+        original = numeric.triangular_inverse
+
+        def counting(lower):
+            calls.append(lower)
+            return original(lower)
+
+        monkeypatch.setattr(numeric, "triangular_inverse", counting)
+        x = rng.standard_normal((200, 5))
+        fdb_estimate(x, EstimatorConfig(k=200, reweight=do_reweight))
+        assert len(calls) == inversions
 
     def test_iterate_c_steps_factors_each_estimate_once(self, rng, cholesky_calls):
         x = rng.standard_normal((120, 4))

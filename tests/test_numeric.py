@@ -20,6 +20,7 @@ from fdb.numeric import (
     mad,
     median,
     row_medians,
+    triangular_inverse,
 )
 from oracles import (
     cofactor_determinant,
@@ -206,6 +207,26 @@ class TestCholesky:
         with pytest.raises(NotSymmetric) as exc:
             routine([[1.0, 0.1], [0.2, 1.0]])
         assert isinstance(exc.value, ValueError)
+
+
+class TestTriangularInverse:
+    @pytest.mark.parametrize("p", [1, 5, 40, 200])
+    def test_inverts_the_factor(self, rng, p):
+        lower = cholesky(random_spd(rng, p))
+        inverse = triangular_inverse(lower)
+        assert np.array_equal(inverse, np.tril(inverse))
+        assert np.max(np.abs(inverse @ lower - np.eye(p))) <= 1e-12
+
+    def test_factor_left_unchanged(self, rng):
+        lower = cholesky(random_spd(rng, 6))
+        kept = lower.copy()
+        triangular_inverse(lower)
+        assert np.array_equal(lower, kept)
+
+    def test_singular_factor_carries_index(self):
+        with pytest.raises(NotPositiveDefinite) as exc:
+            triangular_inverse(np.diag([1.0, 2.0, 0.0]))
+        assert exc.value.pivot_index == 2
 
 
 def test_non_finite_values_are_value_errors():
