@@ -427,14 +427,13 @@ def cmd_depth(args) -> int:
     return EXIT_OK
 
 
-def _add_estimator_flags(parser, with_method: bool = True):
-    if with_method:
-        parser.add_argument(
-            "--method",
-            choices=["fdb-pro", "fdb-l2", "fastmcd"],
-            default="fdb-pro",
-            help="estimator to run (default fdb-pro)",
-        )
+def _add_estimator_flags(parser):
+    parser.add_argument(
+        "--method",
+        choices=["fdb-pro", "fdb-l2", "fastmcd"],
+        default="fdb-pro",
+        help="estimator to run (default fdb-pro)",
+    )
     parser.add_argument("--alpha", type=float, default=0.75, help="core-set fraction (default 0.75)")
     parser.add_argument("--k", default="auto", help="projection direction count or 'auto'")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")

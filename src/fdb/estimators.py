@@ -45,16 +45,13 @@ _MAX_C_STEPS = 100
 class LocationScatter:
     """A (mu, sigma) estimate with positive definite sigma.
 
-    ``provenance`` records the pipeline stage that produced the estimate:
-    raw, reweighted, cstep or oracle. ``lower`` is the Cholesky factor of
-    sigma and ``lower_inverse`` its inverse, which the distance passes
-    multiply by. Each is computed on first use and kept; the estimate is
-    frozen so neither can go stale.
+    ``lower`` is the Cholesky factor of sigma and ``lower_inverse`` its
+    inverse, which the distance passes multiply by. Each is computed on
+    first use and kept; the estimate is frozen so neither can go stale.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
-    provenance: str = "raw"
 
     @property
     def p(self) -> int:
@@ -147,13 +144,7 @@ def _stage(name: str):
         raise
 
 
-def subset_mean_cov(
-    data,
-    subset,
-    denominator: str = "h-1",
-    ridge: bool = False,
-    provenance: str = "raw",
-) -> LocationScatter:
+def subset_mean_cov(data, subset, denominator: str = "h-1", ridge: bool = False) -> LocationScatter:
     """Mean and covariance of the rows selected by ``subset``.
 
     ``denominator`` is the literal divisor convention, "h" or "h-1". With
@@ -182,7 +173,7 @@ def subset_mean_cov(
     sigma = rows.T @ rows
     del rows  # frees the h x p copy before the p x p work
     sigma /= div
-    estimate = LocationScatter(mu, sigma, provenance)
+    estimate = LocationScatter(mu, sigma)
     try:
         estimate.lower  # the positive-definiteness check
     except NotPositiveDefinite as exc:
@@ -191,8 +182,7 @@ def subset_mean_cov(
                 f"subset covariance is singular ({exc})"
             ) from None
         bump = _RIDGE_SCALE * float(np.trace(sigma)) / sigma.shape[0]
-        sigma = numeric.symmetrize(sigma + bump * np.eye(sigma.shape[0]))
-        estimate = LocationScatter(mu, sigma, provenance)
+        estimate = LocationScatter(mu, sigma + bump * np.eye(sigma.shape[0]))
         try:
             estimate.lower
         except NotPositiveDefinite as exc2:
@@ -219,7 +209,7 @@ def mahalanobis_sq(data, ls: LocationScatter) -> np.ndarray:
         raise DimensionError(f"expected an (n, {ls.p}) sample matrix, got shape {x.shape}")
     n, p = x.shape
     inverse = ls.lower_inverse
-    rows = max(1, depth_mod._BLOCK_BYTES // (8 * p))
+    rows = depth_mod._block_rows(p)
     buffer = np.empty((min(n, rows), p))
     d2 = np.empty(n)
     for start in range(0, n, rows):
@@ -247,11 +237,11 @@ def c_step(data, state: LocationScatter, h: int):
     Selects the h samples with smallest squared Mahalanobis distance under
     ``state`` and returns their mean/covariance (denominator h-1). When the
     incoming state was itself computed from an h-subset with denominator h-1,
-    the determinant never increases.
+    the determinant never increases. This is ``iterate_c_steps`` with
+    ``max_iter=1``.
     """
-    x = np.asarray(data, dtype=float)
-    subset = _smallest_distance_subset(mahalanobis_sq(x, state), h, state.p)
-    return subset, subset_mean_cov(x, subset, "h-1", provenance="cstep")
+    subset, state, _ = iterate_c_steps(data, state, h, max_iter=1)
+    return subset, state
 
 
 def iterate_c_steps(data, start: LocationScatter, h: int, max_iter: int = _MAX_C_STEPS):
@@ -273,7 +263,7 @@ def iterate_c_steps(data, start: LocationScatter, h: int, max_iter: int = _MAX_C
         if subset is not None and np.array_equal(new_subset, subset):
             break
         subset = new_subset
-        state = subset_mean_cov(x, subset, "h-1", provenance="cstep")
+        state = subset_mean_cov(x, subset, "h-1")
         iterations += 1
         logdet = numeric.log_determinant(state.lower)
         if prev_logdet is not None and prev_logdet - logdet < _DET_TOL:
@@ -303,7 +293,7 @@ def _reweight(x: np.ndarray, d2: np.ndarray, p: int) -> ReweightResult:
         raise TooFewWeightedSamples(
             f"reweighting kept {kept} samples, need more than {p + 1}"
         )
-    estimate = subset_mean_cov(x, np.flatnonzero(weights), "h-1", provenance="reweighted")
+    estimate = subset_mean_cov(x, np.flatnonzero(weights), "h-1")
     return ReweightResult(weights, c0, estimate)
 
 
@@ -329,7 +319,7 @@ def _finish_report(
     # c1 * sigma0 are those under sigma0 divided by c1, so the scaled
     # estimate needs neither a factor nor a pass of its own.
     with _stage("scatter"):
-        raw = subset_mean_cov(data, subset, "h", provenance="raw")
+        raw = subset_mean_cov(data, subset, "h")
     with _stage("scaling"):
         d2 = mahalanobis_sq(data, raw)
         c1 = _consistency_factor(d2, raw.p, "scale scatter")
@@ -338,13 +328,14 @@ def _finish_report(
         if not np.isfinite(d2).all():
             raise NonFiniteValues("scaled squared distances overflow")
     # The product keeps sigma0's exact symmetry.
-    estimate = LocationScatter(raw.mu, c1 * raw.sigma, "raw")
+    estimate = LocationScatter(raw.mu, c1 * raw.sigma)
     weights = c0 = None
     if do_reweight:
         with _stage("reweight"):
             rw = _reweight(data, d2, raw.p)
         estimate, weights, c0 = rw.estimate, rw.weights, rw.c0
-        d2 = mahalanobis_sq(data, estimate)
+        with _stage("distances"):
+            d2 = mahalanobis_sq(data, estimate)
     elapsed = time.perf_counter() - t0
     return EstimationReport(
         estimate=estimate,
@@ -409,9 +400,10 @@ def fastmcd_baseline(
     """FASTMCD-style baseline: random elemental starts plus concentration steps.
 
     Draws ``n_starts`` random (p+1)-subsets, builds their (ridge-repaired)
-    mean/covariance, applies two C-steps to each, keeps the ten best by
-    determinant, iterates those to convergence, and finishes the winner with
-    the same consistency scaling and reweighting as the depth pipeline.
+    mean/covariance and applies two C-steps to each, keeping only the
+    determinant and h-subset of each start. The ten best subsets are refitted
+    and iterated to convergence, and the winner is finished with the same
+    consistency scaling and reweighting as the depth pipeline.
     Per-start RNG streams are derived from (seed, start index) so the result
     does not depend on evaluation order.
     """
@@ -423,26 +415,27 @@ def fastmcd_baseline(
         raise InvalidConfig(f"need at least one start, got {n_starts}")
 
     with _stage("subset"):
-        candidates = []  # (logdet, start index, subset, state)
+        candidates = []  # (logdet, start index, subset)
         for s in range(n_starts):
             rng = np.random.default_rng((seed, s))
             elemental = np.sort(rng.choice(n, size=p + 1, replace=False))
             try:
-                state = subset_mean_cov(x, elemental, "h-1", ridge=True, provenance="cstep")
-                subset, state = c_step(x, state, h)
-                subset, state = c_step(x, state, h)
+                state = subset_mean_cov(x, elemental, "h-1", ridge=True)
+                subset, state, _ = iterate_c_steps(x, state, h, max_iter=2)
             except SingularCovariance:
                 continue
-            logdet = numeric.log_determinant(state.lower)
-            candidates.append((logdet, s, subset, state))
+            candidates.append((numeric.log_determinant(state.lower), s, subset))
         if not candidates:
             raise DegenerateData("every elemental start produced a singular covariance")
 
+        # The key leaves the subset arrays out of the comparison.
         candidates.sort(key=lambda item: (item[0], item[1]))
         best_logdet = np.inf
         best_subset = None
-        for _, _, subset, state in candidates[:10]:
+        for _, _, subset in candidates[:10]:
             try:
+                # Refits the candidate's state: the same call on the same rows.
+                state = subset_mean_cov(x, subset, "h-1")
                 subset, state, _ = iterate_c_steps(x, state, h)
             except SingularCovariance:
                 continue
@@ -498,4 +491,4 @@ def exhaustive_mcd(data, h: int):
             best_logdet = float(logdet[j])
             best_subset = idx[j]
     subset = np.asarray(best_subset, dtype=int)
-    return subset, subset_mean_cov(x, subset, "h-1", provenance="oracle")
+    return subset, subset_mean_cov(x, subset, "h-1")

@@ -174,7 +174,7 @@ def back_transform(ls: LocationScatter, g) -> LocationScatter:
         sigma = np.linalg.solve(g, half.T).T
     except np.linalg.LinAlgError as exc:
         raise SingularTransform(f"back-transformation matrix is singular: {exc}") from None
-    return LocationScatter(mu, numeric.symmetrize(sigma), ls.provenance)
+    return LocationScatter(mu, numeric.symmetrize(sigma))
 
 
 def oracle_ellipsoid_subset(y, alpha: float) -> np.ndarray:

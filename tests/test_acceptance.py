@@ -154,7 +154,7 @@ def test_criterion_5_c_step_against_exhaustive_oracle():
         n = x.shape[0]
         mu = x.mean(axis=0)
         centered = x - mu
-        state = LocationScatter(mu, symmetrize(centered.T @ centered / (n - 1)), "raw")
+        state = LocationScatter(mu, symmetrize(centered.T @ centered / (n - 1)))
         logdets = []
         prev_subset = None
         for _ in range(100):
@@ -395,9 +395,7 @@ def test_criterion_9_detection_workflow():
 
     rep = fdb_estimate(x, EstimatorConfig(alpha=0.75, seed=7))
     robust = applications.detect_outliers(x, rep.estimate, labels=labels)
-    sample_ls = LocationScatter(
-        x.mean(axis=0), symmetrize(np.cov(x, rowvar=False)), "raw"
-    )
+    sample_ls = LocationScatter(x.mean(axis=0), symmetrize(np.cov(x, rowvar=False)))
     classical = applications.detect_outliers(x, sample_ls, labels=labels)
     ok = robust.auc >= 0.99 and classical.auc < robust.auc
     assert report(

@@ -145,6 +145,16 @@ class TestInputHandling:
         assert code == 3
         assert "stage" in capsys.readouterr().err
 
+    def test_final_distance_overflow_names_its_stage(self, tmp_path, capsys):
+        x = np.random.default_rng(0).standard_normal((200, 5))
+        x[0, 0] = 1.18e154
+        lines = [",".join(repr(float(v)) for v in row) for row in x]
+        path = write(tmp_path / "huge.csv", "\n".join(lines) + "\n")
+        code = main(["estimate", "--input", path, "--output", str(tmp_path / "o.json"),
+                     "--method", "fdb-l2"])
+        assert code == 3
+        assert "[stage: distances]" in capsys.readouterr().err
+
 
 def read_both(path):
     """The new reader's and the reference's outcome: ("ok", shape, bytes)

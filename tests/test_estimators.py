@@ -45,7 +45,7 @@ def full_sample_state(x):
     mu = x.mean(axis=0)
     centered = x - mu
     sigma = symmetrize(centered.T @ centered / (x.shape[0] - 1))
-    return LocationScatter(mu, sigma, "raw")
+    return LocationScatter(mu, sigma)
 
 
 def twelve_point_instance():
@@ -96,6 +96,7 @@ class TestSubsetMeanCov:
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [5.0, 1.0]])
         ls = subset_mean_cov(x, [0, 1, 2], "h-1", ridge=True)
         cholesky(ls.sigma)  # repaired covariance must be SPD
+        assert np.array_equal(ls.sigma, ls.sigma.T)  # the diagonal bump keeps it symmetric
 
     def test_one_h_by_p_copy(self, rng):
         # The selected rows are centred in place and freed before the
@@ -498,6 +499,16 @@ class TestFdbEstimate:
             fdb_estimate(x[:, None], EstimatorConfig(k=50, reweight=do_reweight))
         assert exc.value.stage == "scaling"
 
+    def test_overflowing_final_distances_are_tagged(self):
+        # The entry at 1.18e154 keeps its scaled distance finite (about
+        # 1.75e308), but the reweighted scatter is tighter, so the final
+        # distance pass overflows.
+        x = np.random.default_rng(0).standard_normal((200, 5))
+        x[0, 0] = 1.18e154
+        with pytest.raises(NonFiniteValues) as exc:
+            fdb_estimate(x, EstimatorConfig(depth="l2"))
+        assert exc.value.stage == "distances"
+
     def test_rigid_motion_equivariance_l2(self, rng):
         x = rng.standard_normal((120, 3)) @ np.diag([1.0, 2.0, 0.5])
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -611,6 +622,30 @@ class TestFastMcdBaseline:
         assert np.array_equal(a.estimate.sigma, b.estimate.sigma)
         assert np.array_equal(a.weights, b.weights)
         assert a.c0 == b.c0 and a.c1 == b.c1
+
+    def test_peak_does_not_grow_with_start_count(self, rng):
+        # Only (log-det, start, subset) is kept per start; the ten best
+        # states are refitted. A kept p x p state would add 8p^2 bytes.
+        n, p, h = 200, 40, 150
+        x = rng.standard_normal((n, p))
+        peaks = {}
+        for n_starts in (20, 200):
+            tracemalloc.start()
+            try:
+                fastmcd_baseline(x, h, n_starts=n_starts, seed=3)
+                peaks[n_starts] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[200] - peaks[20]) / 180 < 8 * p * p
+
+    def test_does_not_call_c_step(self, rng, monkeypatch):
+        from fdb import estimators
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fastmcd_baseline called c_step")
+
+        monkeypatch.setattr(estimators, "c_step", forbidden)
+        fastmcd_baseline(rng.standard_normal((60, 3)), 45, n_starts=20, seed=1)
 
     def test_comparable_to_fdb_on_clean_data(self, rng):
         # Both estimators are consistent on clean data; their location errors

@@ -130,7 +130,7 @@ class TestBackTransform:
     def test_round_trip(self, rng):
         g = random_spd(rng, 4)
         ls = LocationScatter(rng.standard_normal(4), random_spd(rng, 4))
-        forward = LocationScatter(g @ ls.mu, g @ ls.sigma @ g.T, ls.provenance)
+        forward = LocationScatter(g @ ls.mu, g @ ls.sigma @ g.T)
         back = back_transform(forward, g)
         assert np.max(np.abs(back.mu - ls.mu)) <= 1e-10
         assert np.max(np.abs(back.sigma - ls.sigma)) <= 1e-10
