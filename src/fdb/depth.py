@@ -9,6 +9,7 @@ core set used by the robust estimators.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -48,26 +49,17 @@ _BLOCK_BYTES = 256 * 1024
 # worker and 269, 154, 151 and 126 ms on two (medians of 7).
 _PROJECTION_BLOCK_BYTES = 4 * _BLOCK_BYTES
 
-# A worker thread costs about 80 us to start and join, and on a two-vCPU host
-# the workers also queue for the interpreter lock between numpy calls. So the
-# kernels add a worker only per this many blocks. A projection block (two
-# single-kth selections per direction) takes 0.15-0.2 ms, 0.3 ms with 16
-# directions at p = 200. Two workers gain where the matrix product is a large
-# share of a block: 0.67x the one-worker time at n = 2000, p = 200 (125 blocks
-# of 16) and 0.77x at n = 400, p = 200 (25 blocks); with the 40 blocks of 50
-# that ``_projection_rows`` gives at 2000 x 200 they took 0.55x (0.59x with
-# 125 blocks, measured alongside). With p <= 100 and k = 1000 they took 1.04x
-# to 1.39x the time from 4 to 63 blocks (n = 100 to 2000); measured again in a
-# slow phase of the host, with the directions drawn in the kernel, 13 blocks
-# at 400 x 40 took 0.84x and 7 blocks at 200 x 5 0.97x. The block count alone
-# does not separate these cases, so the count stays at 2. An L2 block takes
-# 0.05-0.13 ms on average; a Gram strip is half a block of rows x samples on
-# average. Two workers took 0.77x-1.27x the one-worker time at 8 blocks
-# (n = 512, p = 5 to 100) and gained from 17 blocks on with pairwise
-# differences (0.67x at p = 5). Gram strips took 0.92x-1.16x from 17 to 32
-# blocks (p = 20 and 100) and 0.58x at 125 blocks (n = 2000, p = 200).
-_PROJECTION_BLOCKS_PER_WORKER = 2
-_L2_BLOCKS_PER_WORKER = 8
+# A kernel starts more than one worker only where one block takes at least
+# this many multiply-adds: rows x n x p, where a Gram strip counts its mean
+# width (m + rows) / 2 for n. A worker costs about 80 us to start and join,
+# and the workers queue for the interpreter lock between numpy calls. With
+# one BLAS thread, two workers took 0.95x-1.9x the one-worker time at 1.7M
+# and below, above 1x in 24 of 25 cases (projection 200 x 5 to 1000 x 40,
+# Gram 400 x 40 to 1024 x 100, cdist 512 x 5), 0.67x-1.11x at 1.9M,
+# 0.65x-1.07x at 2.5M and 0.56x-0.90x from 3.2M on (400 x 200: 0.64x-0.78x;
+# medians of 15-40 alternating calls, three passes). The 125 cdist blocks
+# of 2000 x 5 (0.16M each) read 0.71x-1.05x but run inline.
+_PARALLEL_WORK = 2_000_000
 
 # Byte budget of one chunk of a drawn direction set: projection depth draws
 # whole blocks of directions per call of the generator, at least one, so a
@@ -107,6 +99,17 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
+def checked_thread_count(threads) -> int:
+    """``threads`` as a positive int; ``InvalidConfig`` for anything else."""
+    try:
+        count = operator.index(threads)
+    except TypeError:
+        raise InvalidConfig(f"thread count must be a positive integer, got {threads!r}") from None
+    if count < 1:
+        raise InvalidConfig(f"thread count must be positive, got {count}")
+    return count
+
+
 def _worker_count(threads: "int | None") -> int:
     """Worker threads of the depth kernels: ``threads`` if given, else the
     FDB_THREADS environment variable, else 1."""
@@ -118,31 +121,32 @@ def _worker_count(threads: "int | None") -> int:
             threads = int(env)
         except ValueError:
             raise InvalidConfig(f"FDB_THREADS must be a positive integer, got {env!r}") from None
-    if threads < 1:
-        raise InvalidConfig(f"thread count must be positive, got {threads}")
-    return threads
+    return checked_thread_count(threads)
 
 
-def _workers(threads: "int | None", blocks: int, blocks_per_worker: int) -> int:
-    """Worker threads for ``blocks`` blocks: the thread count, at most one
-    worker per ``blocks_per_worker`` blocks."""
-    return max(1, min(_worker_count(threads), blocks // blocks_per_worker))
+def _workers(threads: "int | None", blocks: int, block_work: int) -> int:
+    """Worker threads for ``blocks`` blocks of ``block_work`` multiply-adds
+    each: the thread count, at most one per block, and one below
+    ``_PARALLEL_WORK``."""
+    count = _worker_count(threads)
+    return min(count, blocks) if block_work >= _PARALLEL_WORK else 1
 
 
-def _in_pool(work, args: list) -> list:
-    """``[work(a) for a in args]``, each call in a worker thread of its own."""
-    with ThreadPoolExecutor(max_workers=len(args)) as pool:
-        return list(pool.map(work, args))
+def _run(work, shares: list) -> list:
+    """``[work(s) for s in shares]``: a single share inline, more each in a
+    worker thread of its own."""
+    if len(shares) == 1:
+        return [work(shares[0])]
+    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+        return list(pool.map(work, shares))
 
 
-def _map_blocks(work, starts: range, threads: "int | None", blocks_per_worker: int) -> list:
+def _map_blocks(work, starts: range, threads: "int | None", block_work: int) -> list:
     """Deal the block ``starts`` round-robin to T = ``_workers(...)``
     workers (worker w takes blocks w, w + T, ...) and return each worker's
-    ``work(starts)``, in worker order; a single worker runs inline."""
-    workers = _workers(threads, len(starts), blocks_per_worker)
-    if workers == 1:
-        return [work(starts)]
-    return _in_pool(work, [starts[w::workers] for w in range(workers)])
+    ``work(starts)``, in worker order."""
+    workers = _workers(threads, len(starts), block_work)
+    return _run(work, [starts[w::workers] for w in range(workers)])
 
 
 def default_direction_count(p: int) -> int:
@@ -202,7 +206,7 @@ class DirectionSet:
             return self._given
         rng = np.random.default_rng(self.seed)
         u = rng.standard_normal(self._shape)
-        _normalize(u, rng)
+        _normalize(u)
         return u
 
 
@@ -210,10 +214,11 @@ def sample_directions(p: int, k: int, seed: int) -> DirectionSet:
     """k independent Uniform(sphere) directions in R^p, drawn from ``seed``.
 
     Each direction is a standard-normal vector normalized to unit length;
-    the zero-norm draw (a probability-zero event) is redrawn. The arguments
-    are checked here, but nothing is drawn: ``projection_depth`` draws the
-    directions as it consumes them, so the k x p set is never held, and
-    ``.directions`` draws them all on first use.
+    a draw of norm 0 (a probability-zero event) stays zeros, and its MAD of
+    0 makes ``projection_depth`` skip it. The arguments are checked here,
+    but nothing is drawn: ``projection_depth`` draws the directions as it
+    consumes them, so the k x p set is never held, and ``.directions``
+    draws them all on first use.
     """
     if p < 1:
         raise DimensionError(f"dimension must be positive, got {p}")
@@ -222,25 +227,17 @@ def sample_directions(p: int, k: int, seed: int) -> DirectionSet:
     return DirectionSet._drawn(p, k, seed)
 
 
-def _normalize(u: np.ndarray, rng: np.random.Generator) -> None:
-    """Divide the rows of ``u`` by their norms in place, after redrawing
-    from ``rng`` every row of norm 0 until none is left. Rows of zeros are
-    all redrawn, in index order."""
-    norms = _row_norms(u)
-    while np.any(norms == 0.0):
-        bad = norms == 0.0
-        u[bad] = rng.standard_normal((int(bad.sum()), u.shape[1]))
-        norms = _row_norms(u)
-    u /= norms[:, None]
-
-
-def _row_norms(u: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(u, axis=1)`` bit for bit, taken over blocks of rows
-    so that its squares never fill a second array of the size of ``u``."""
+def _normalize(u: np.ndarray) -> None:
+    """Divide the rows of ``u`` by their norms in place; a row of norm 0
+    stays zeros. The norms are ``np.linalg.norm(u, axis=1)`` bit for bit,
+    taken over blocks of rows so that their squares never fill a second
+    array of the size of ``u``."""
     rows = _block_rows(u.shape[1])
-    return np.concatenate(
+    norms = np.concatenate(
         [np.linalg.norm(u[start : start + rows], axis=1) for start in range(0, u.shape[0], rows)]
     )
+    norms[norms == 0.0] = 1.0
+    u /= norms[:, None]
 
 
 class _DirectionBlocks:
@@ -254,14 +251,10 @@ class _DirectionBlocks:
     Each chunk is drawn and normalized under the lock when the blocks before
     it are taken, and its blocks are views of it, so a chunk lives until its
     last block is done. The first chunk is drawn here, before the workers
-    allocate their blocks. A row drawn with norm 0 stays zeros, whose MAD
-    of 0 makes ``projection_depth`` skip it; after the last chunk these rows
-    are redrawn as ``DirectionSet.directions`` redraws them and handed out
-    last.
+    allocate their blocks.
     """
 
-    __slots__ = ("_rows", "_lock", "_next", "_offset", "_source", "_rng", "_shape",
-                 "_chunk_rows", "_zero_rows")
+    __slots__ = ("_rows", "_lock", "_next", "_offset", "_source", "_rng", "_shape", "_chunk_rows")
 
     def __init__(self, dirs: DirectionSet, rows: int):
         self._rows = rows
@@ -272,7 +265,6 @@ class _DirectionBlocks:
             self._shape = dirs.k, dirs.p
             self._rng = np.random.default_rng(dirs.seed)
             self._chunk_rows = max(1, _CHUNK_BYTES // (8 * dirs.p * rows)) * rows
-            self._zero_rows = 0
             self._source = None
             self._refill()
         else:
@@ -290,25 +282,15 @@ class _DirectionBlocks:
             return block
 
     def _refill(self) -> bool:
-        """Draw the next chunk, else the redrawn zero-norm rows; False when
-        nothing is left to draw (``_rng`` is None), as for an explicit set.
-        Called under the lock."""
+        """Draw the next chunk; False when nothing is left to draw (``_rng``
+        is None), as for an explicit set. Called under the lock."""
         if self._rng is None:
             return False
         k, p = self._shape
-        if self._next < k:
-            source = self._rng.standard_normal((min(self._chunk_rows, k - self._next), p))
-            norms = _row_norms(source)
-            zero = norms == 0.0
-            self._zero_rows += int(zero.sum())
-            norms[zero] = 1.0  # the row stays zeros
-            source /= norms[:, None]
-        else:
-            source = np.zeros((self._zero_rows, p))
-            _normalize(source, self._rng)
-            self._zero_rows = 0
+        source = self._rng.standard_normal((min(self._chunk_rows, k - self._next), p))
+        _normalize(source)
         self._source, self._offset = source, self._next
-        if self._next + len(source) >= k and not self._zero_rows:
+        if self._next + len(source) >= k:
             self._rng = None
         return True
 
@@ -367,11 +349,8 @@ def projection_depth(data, dirs: DirectionSet, threads: "int | None" = None) -> 
             np.maximum(outlyingness, dev.max(axis=0), out=outlyingness)
         return outlyingness, usable
 
-    workers = _workers(threads, -(-dirs.k // rows), _PROJECTION_BLOCKS_PER_WORKER)
-    if workers == 1:
-        results = [running_max(blocks)]
-    else:
-        results = _in_pool(running_max, [blocks] * workers)
+    workers = _workers(threads, -(-dirs.k // rows), rows * n * p)
+    results = _run(running_max, [blocks] * workers)
     if not any(usable for _, usable in results):
         raise DegenerateData("every projection direction has zero MAD")
     # The maximum is exact, so merging the workers' maxima in any order
@@ -417,7 +396,7 @@ def l2_depth(data, threads: "int | None" = None, *, return_mean_distance: bool =
                 stop = min(start + rows, n)
                 sums[start:stop] = cdist(scaled[start:stop], scaled).sum(axis=1)
 
-        _map_blocks(fill, range(0, n, rows), threads, _L2_BLOCKS_PER_WORKER)
+        _map_blocks(fill, range(0, n, rows), threads, rows * n * p)
     mean_dist = np.ldexp(sums / n, exponent)
     depths = 1.0 / (1.0 + mean_dist)
     return (depths, mean_dist) if return_mean_distance else depths
@@ -445,7 +424,7 @@ def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> 
     np.ldexp(xc, -exponent, out=xc)
     xc -= xc.mean(axis=0)
     sq = np.einsum("ij,ij->i", xc, xc)
-    m = xc.shape[0]
+    m, p = xc.shape
     rows = min(_block_rows(m), m)
     sums = _BlockOrderSum(m)
 
@@ -469,7 +448,7 @@ def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> 
             sums.fail()
             raise
 
-    _map_blocks(fill, range(0, m, rows), threads, _L2_BLOCKS_PER_WORKER)
+    _map_blocks(fill, range(0, m, rows), threads, rows * (m + rows) // 2 * p)
     return sums.total[inverse]
 
 

@@ -22,7 +22,7 @@ from scipy.linalg.blas import dtrmm
 
 from . import depth as depth_mod
 from . import numeric
-from .depth import as_data_matrix, deepest_subset, default_direction_count
+from .depth import as_data_matrix, checked_thread_count, deepest_subset, default_direction_count
 from .errors import (
     DegenerateData,
     DimensionError,
@@ -90,8 +90,8 @@ class EstimatorConfig:
             raise InvalidConfig(f"alpha must lie in [0.5, 1], got {self.alpha}")
         if self.depth not in ("projection", "l2"):
             raise InvalidConfig(f"unknown depth notion {self.depth!r}")
-        if self.threads is not None and self.threads < 1:
-            raise InvalidConfig(f"thread count must be positive, got {self.threads}")
+        if self.threads is not None:
+            checked_thread_count(self.threads)
 
     def resolve_h(self, n: int, p: int) -> int:
         h = self.h if self.h is not None else int(math.floor(self.alpha * n))

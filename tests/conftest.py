@@ -11,6 +11,13 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 
+@pytest.fixture(autouse=True)
+def no_fdb_threads(monkeypatch):
+    """Runs every test with the default thread count, whatever FDB_THREADS
+    the shell exports; a test that needs the variable sets it itself."""
+    monkeypatch.delenv("FDB_THREADS", raising=False)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240501)
@@ -33,9 +40,9 @@ def pools(monkeypatch):
 
 
 @pytest.fixture
-def one_block_per_worker(monkeypatch):
-    """Lets small inputs use as many depth workers as they have blocks."""
+def workers_at_any_size(monkeypatch):
+    """Lets inputs of any size use as many depth workers as they have
+    blocks."""
     from fdb import depth
 
-    monkeypatch.setattr(depth, "_PROJECTION_BLOCKS_PER_WORKER", 1)
-    monkeypatch.setattr(depth, "_L2_BLOCKS_PER_WORKER", 1)
+    monkeypatch.setattr(depth, "_PARALLEL_WORK", 0)

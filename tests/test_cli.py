@@ -536,16 +536,14 @@ class TestThreadResolution:
         assert resolve_threads(None) == 5
         assert resolve_threads("auto") == 5
 
-    def test_hardware_fallback(self, monkeypatch):
+    def test_hardware_fallback(self):
         from fdb.cli import resolve_threads
 
-        monkeypatch.delenv("FDB_THREADS", raising=False)
         assert resolve_threads(None) >= 1
 
-    def test_invalid_value(self, monkeypatch):
+    def test_invalid_value(self):
         from fdb.cli import InputError, resolve_threads
 
-        monkeypatch.delenv("FDB_THREADS", raising=False)
         with pytest.raises(InputError):
             resolve_threads("many")
         with pytest.raises(InputError):
@@ -555,9 +553,8 @@ class TestThreadResolution:
 class TestThreadedDepth:
     @pytest.mark.parametrize("method", ["fdb-pro", "fdb-l2"])
     def test_thread_count_changes_only_the_threads_field(
-        self, tmp_path, monkeypatch, pools, one_block_per_worker, method
+        self, tmp_path, pools, workers_at_any_size, method
     ):
-        monkeypatch.delenv("FDB_THREADS", raising=False)
         x = np.random.default_rng(3).standard_normal((400, 20))
         src = write(tmp_path / "x.csv", "\n".join(",".join(map(repr, row)) for row in x.tolist()))
         docs = []
@@ -569,7 +566,9 @@ class TestThreadedDepth:
         assert pools == [2]
         assert docs[0] == docs[1]
 
-    def test_depth_command_uses_the_flag_then_the_environment(self, sample_csv, tmp_path, monkeypatch, pools):
+    def test_depth_command_uses_the_flag_then_the_environment(
+        self, sample_csv, tmp_path, monkeypatch, pools, workers_at_any_size
+    ):
         monkeypatch.setenv("FDB_THREADS", "3")
         out = str(tmp_path / "depth.csv")
         assert main(["depth", "--input", sample_csv, "--output", out, "--k", "2000"]) == 0

@@ -304,7 +304,7 @@ class TestThreadCount:
     depend on the thread count."""
 
     @pytest.mark.parametrize("n,p", [(201, 7), (333, 13), (400, 40), (2000, 200)])
-    def test_bitwise_equal_for_every_thread_count(self, one_block_per_worker, pools, n, p):
+    def test_bitwise_equal_for_every_thread_count(self, workers_at_any_size, pools, n, p):
         # Over half the samples have x0 = 0, so e0 has zero MAD. It fills
         # the start of block 1, which another worker than block 0's may take.
         rng = np.random.default_rng(n)
@@ -328,7 +328,7 @@ class TestThreadCount:
             assert np.array_equal(l2[threads], l2[1])
             assert all(np.array_equal(a, b) for a, b in zip(subsets[threads], subsets[1]))
 
-    def test_more_workers_than_cores_with_frequent_switches(self, rng, one_block_per_worker):
+    def test_more_workers_than_cores_with_frequent_switches(self, rng, workers_at_any_size):
         # A lost or misplaced write to the shared sums, or a lost maximum,
         # would change the bits.
         x = rng.standard_normal((600, 20))
@@ -344,7 +344,7 @@ class TestThreadCount:
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_failing_block_is_raised_without_deadlock(
-        self, rng, monkeypatch, one_block_per_worker, threads
+        self, rng, monkeypatch, workers_at_any_size, threads
     ):
         # The second block to take its square roots raises. Workers waiting
         # for that block's turn must be released, and the error re-raised.
@@ -389,7 +389,7 @@ class TestThreadCount:
         assert [str(exc) for exc in outcome] == ["second block"]
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_memory_bounded_per_worker(self, rng, pools, threads):
+    def test_memory_bounded_per_worker(self, rng, pools, workers_at_any_size, threads):
         # Each worker holds two blocks, so the single-thread bounds of
         # test_memory_bounded_by_block_budget grow by two blocks per worker.
         n, p = 5000, 50
@@ -400,10 +400,11 @@ class TestThreadCount:
         assert _peak_bytes(projection_depth, x, dirs, threads) < _projection_bound(n, p, threads)
         assert pools == [threads, threads]
 
-    def test_thread_count_from_argument_then_environment(self, rng, monkeypatch, pools):
+    def test_thread_count_from_argument_then_environment(
+        self, rng, monkeypatch, pools, workers_at_any_size
+    ):
         x = rng.standard_normal((2000, 20))
         dirs = sample_directions(20, 1000, seed=0)
-        monkeypatch.delenv("FDB_THREADS", raising=False)
         projection_depth(x, dirs)
         assert pools == []
         monkeypatch.setenv("FDB_THREADS", "3")
@@ -413,11 +414,24 @@ class TestThreadCount:
         assert pools == [3, 2]
 
     def test_small_inputs_run_inline(self, rng, pools):
-        # 400 x 40 is five L2 blocks, too few to pay for a second worker.
-        l2_depth(rng.standard_normal((400, 40)), 2)
+        # Blocks of 0.16M to 1.3M multiply-adds, too few to pay for a second
+        # worker: 400 x 40 has 5 Gram strips and 13 projection blocks of 81
+        # directions, 2000 x 5 has 125 cdist blocks.
+        for n, p in [(400, 40), (200, 5), (1000, 40), (2000, 5)]:
+            x = rng.standard_normal((n, p))
+            projection_depth(x, sample_directions(p, 1000, seed=0), 2)
+            l2_depth(x, 2)
         assert pools == []
 
-    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_wide_inputs_start_workers(self, rng, pools):
+        # 2000 x 200: projection blocks of 50 directions (20M multiply-adds)
+        # and Gram strips of 16 rows (3.2M).
+        x = rng.standard_normal((2000, 200))
+        projection_depth(x, sample_directions(200, 2000, seed=0), 2)
+        l2_depth(x, 2)
+        assert pools == [2, 2]
+
+    @pytest.mark.parametrize("value", ["two", "0", "2.5"])
     def test_invalid_thread_count(self, rng, monkeypatch, value):
         monkeypatch.setenv("FDB_THREADS", value)
         with pytest.raises(InvalidConfig):
@@ -429,6 +443,12 @@ class TestThreadCount:
             l2_depth(rng.standard_normal((10, 2)), 0)
         with pytest.raises(ValueError):
             l2_depth(rng.standard_normal((10, 2)), 0)
+        # At 2000 x 200 both kernels would start workers.
+        x = rng.standard_normal((2000, 200))
+        with pytest.raises(InvalidConfig):
+            projection_depth(x, sample_directions(200, 100, seed=0), 2.5)
+        with pytest.raises(InvalidConfig):
+            l2_depth(x, 2.5)
 
 
 class _ZeroRows:
@@ -453,7 +473,7 @@ class TestDirectionStream:
     """projection_depth draws a sampled set block by block as it consumes it."""
 
     @pytest.mark.parametrize("n,p,k", [(201, 7, 5000), (400, 40, 1000), (2000, 200, 1237)])
-    def test_streamed_equals_explicit(self, monkeypatch, one_block_per_worker, n, p, k):
+    def test_streamed_equals_explicit(self, monkeypatch, workers_at_any_size, n, p, k):
         # Blocks of 163, 81 and 50 directions, chunks of 1141, 162 and 50;
         # no k is a multiple of its block or chunk.
         x = np.random.default_rng(n).standard_normal((n, p))
@@ -477,7 +497,7 @@ class TestDirectionStream:
             assert np.array_equal(streamed[threads].estimate.sigma, report.estimate.sigma)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_each_direction_projected_once(self, monkeypatch, one_block_per_worker, threads):
+    def test_each_direction_projected_once(self, monkeypatch, workers_at_any_size, threads):
         # A direction taken twice would leave the maximum, and so the
         # depths, unchanged; only the count of projections shows it.
         n, p, k = 400, 40, 1000
@@ -496,26 +516,30 @@ class TestDirectionStream:
             projection_depth(x, dirs, threads)
             assert sum(projected) == 2 * k  # a median and a MAD per direction
 
-    def test_zero_norm_rows_are_redrawn(self, monkeypatch, rng, one_block_per_worker):
+    def test_zero_norm_rows_are_skipped(self, monkeypatch, rng, workers_at_any_size):
         # Blocks of 7 directions, chunks of 14. Rows 5 and 30 come out as
-        # zeros in the first and third chunk; row k, the first redrawn one,
-        # comes out as zeros too and is redrawn once more. With 40
-        # directions in the plane, each one sets the outlyingness of some
-        # samples, so a direction left out shows.
+        # zeros in the first and third chunk. With 40 directions in the
+        # plane, each one sets the outlyingness of some samples, so a
+        # direction left out, or a zero row counted, shows.
         n, p, k = 300, 2, 40
         monkeypatch.setattr(depth, "_BLOCK_BYTES", 8 * n * 7)
         monkeypatch.setattr(depth, "_CHUNK_BYTES", 8 * p * 14)
         default_rng = np.random.default_rng
         monkeypatch.setattr(
-            np.random, "default_rng", lambda seed: _ZeroRows(default_rng(seed), p, {5, 30, k})
+            np.random, "default_rng", lambda seed: _ZeroRows(default_rng(seed), p, {5, 30})
         )
         x = rng.standard_normal((n, p))
         dirs = sample_directions(p, k, seed=2)
         got = {threads: projection_depth(x, dirs, threads) for threads in (1, 2, 3)}
         assert np.array_equal(got[2], got[1]) and np.array_equal(got[3], got[1])
         directions = dirs.directions
-        assert np.max(np.abs(np.linalg.norm(directions, axis=1) - 1.0)) <= 1e-12
-        assert np.max(np.abs(got[1] - projection_depth_reference(x, directions))) <= 1e-14
+        assert not directions[[5, 30]].any()
+        usable = np.delete(directions, [5, 30], axis=0)
+        assert np.max(np.abs(np.linalg.norm(usable, axis=1) - 1.0)) <= 1e-12
+        explicit = DirectionSet(directions, seed=2)
+        for threads in (1, 2, 3):
+            assert np.array_equal(projection_depth(x, explicit, threads), got[1])
+        assert np.max(np.abs(got[1] - projection_depth_reference(x, usable))) <= 1e-14
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("k", [1000, 50_000])
@@ -597,7 +621,7 @@ class TestL2DepthProperties:
         x, rows, threads, perm = case
         m = np.unique(x, axis=0).shape[0]
         with mock.patch.object(depth, "_BLOCK_BYTES", 8 * m * rows), \
-                mock.patch.object(depth, "_L2_BLOCKS_PER_WORKER", 1):
+                mock.patch.object(depth, "_PARALLEL_WORK", 0):
             got = l2_depth(x, 1)
             assert np.array_equal(l2_depth(x, threads), got)
             assert np.max(np.abs(got - l2_depth_reference(x))) <= 1e-12

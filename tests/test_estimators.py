@@ -551,7 +551,7 @@ class TestFdbEstimate:
 
 class TestEstimatorConfig:
     @pytest.mark.parametrize(
-        "settings", [{"alpha": 2}, {"depth": "halfspace"}, {"threads": 0}]
+        "settings", [{"alpha": 2}, {"depth": "halfspace"}, {"threads": 0}, {"threads": 2.5}]
     )
     def test_invalid_settings_raise_invalid_config(self, settings):
         with pytest.raises(InvalidConfig) as exc:
