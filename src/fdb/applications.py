@@ -11,11 +11,11 @@ or a fixed top-m rule, optionally scored with AUC against known labels.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from . import numeric
 from .depth import as_data_matrix
@@ -142,6 +142,19 @@ def parse_rule(rule: str):
     raise InvalidRule(f"unknown rule kind {kind!r}")
 
 
+def _average_ranks(d: np.ndarray) -> np.ndarray:
+    # Ranks from 1, ties sharing their mean rank: scipy.stats.rankdata's
+    # "average" method, whose import alone would double fdb's import time.
+    order = np.argsort(d, kind="mergesort")
+    inverse = np.empty(d.size, dtype=np.intp)
+    inverse[order] = np.arange(d.size)
+    d = d[order]
+    new = np.r_[True, d[1:] != d[:-1]]
+    dense = new.cumsum()[inverse]
+    count = np.r_[np.flatnonzero(new), d.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def auc_score(distances, labels) -> float:
     """Mann-Whitney AUC of the distances against boolean labels; ties count 1/2."""
     d = np.asarray(distances, dtype=float).ravel()
@@ -152,7 +165,9 @@ def auc_score(distances, labels) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise InvalidConfig("AUC needs at least one positive and one negative label")
-    ranks = rankdata(d)
+    if np.isnan(d).any():
+        return math.nan
+    ranks = _average_ranks(d)
     return float((ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import numeric
 from .errors import (
@@ -387,6 +386,9 @@ def l2_depth(data, threads: "int | None" = None, *, return_mean_distance: bool =
     if p >= _L2_GRAM_MIN_P:
         sums = _gram_distance_sums(x, exponent, threads)
     else:
+        # Imported on first use: scipy.spatial pulls in scipy.sparse, which no other path needs.
+        from scipy.spatial.distance import cdist
+
         scaled = np.ldexp(x, -exponent) if exponent else x
         rows = _block_rows(n)
         sums = np.empty(n)

@@ -166,11 +166,14 @@ def subset_mean_cov(data, subset, denominator: str = "h-1", ridge: bool = False)
     if div < 1:
         raise InvalidSubsetSize(f"subset of size {h} is too small for denominator {denominator}")
     rows = x[idx]
-    mu = rows.mean(axis=0)
-    rows -= mu
-    # numpy takes a product of an array with its own transpose as one
-    # symmetric rank-k update and mirrors it, so sigma is exactly symmetric.
-    sigma = rows.T @ rows
+    # An overflow here makes sigma non-finite, which the Cholesky factor
+    # reports as NonFiniteValues; numpy need not warn of it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = rows.mean(axis=0)
+        rows -= mu
+        # numpy takes a product of an array with its own transpose as one
+        # symmetric rank-k update and mirrors it, so sigma is exactly symmetric.
+        sigma = rows.T @ rows
     del rows  # frees the h x p copy before the p x p work
     sigma /= div
     estimate = LocationScatter(mu, sigma)
@@ -212,14 +215,17 @@ def mahalanobis_sq(data, ls: LocationScatter) -> np.ndarray:
     rows = depth_mod._block_rows(p)
     buffer = np.empty((min(n, rows), p))
     d2 = np.empty(n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = buffer[: stop - start]
-        np.subtract(x[start:stop], ls.mu, out=block)
-        # The transpose of a C-ordered block is Fortran-ordered, so dtrmm
-        # overwrites the block in place.
-        z = dtrmm(1.0, inverse, block.T, lower=1, overwrite_b=1)
-        np.einsum("ij,ij->j", z, z, out=d2[start:stop])
+    # An overflow makes a distance non-finite, which the check below reports;
+    # numpy need not warn of it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            block = buffer[: stop - start]
+            np.subtract(x[start:stop], ls.mu, out=block)
+            # The transpose of a C-ordered block is Fortran-ordered, so dtrmm
+            # overwrites the block in place.
+            z = dtrmm(1.0, inverse, block.T, lower=1, overwrite_b=1)
+            np.einsum("ij,ij->j", z, z, out=d2[start:stop])
     if not np.isfinite(d2).all():
         raise NonFiniteValues("squared Mahalanobis distances are not finite")
     return d2

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import numeric
-from .depth import as_data_matrix
+from .depth import as_data_matrix, checked_thread_count
 from .errors import (
     DimensionError,
     FdbError,
@@ -338,6 +338,7 @@ def run_benchmark(
     any thread count: replicate streams depend only on (seed, replicate) and
     aggregation is indexed by replicate.
     """
+    threads = checked_thread_count(threads)
     cells = [cell.normalized() for cell in cells]
     if not cells:
         raise InvalidConfig("benchmark grid is empty")

@@ -111,16 +111,25 @@ class TestParseRule:
                 parse_rule(bad)
 
 
+def rankdata_auc(distances, labels):
+    """The Mann-Whitney AUC over scipy's average ranks, imported here only."""
+    from scipy.stats import rankdata
+
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    return float((rankdata(distances)[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
 class TestAuc:
     def test_perfect_separation(self):
         distances = np.array([1.0, 2.0, 3.0, 10.0, 11.0])
         labels = np.array([False, False, False, True, True])
-        assert auc_score(distances, labels) == 1.0
+        assert auc_score(distances, labels) == 1.0 == rankdata_auc(distances, labels)
 
     def test_all_equal_distances(self):
         distances = np.ones(6)
         labels = np.array([True, False, True, False, False, True])
-        assert auc_score(distances, labels) == 0.5
+        assert auc_score(distances, labels) == 0.5 == rankdata_auc(distances, labels)
 
     def test_invariant_under_increasing_transform(self, rng):
         distances = rng.uniform(0.1, 5.0, size=40)
@@ -128,9 +137,18 @@ class TestAuc:
         if not labels.any() or labels.all():
             labels[0] = True
             labels[1] = False
-        base = auc_score(distances, labels)
-        assert auc_score(np.exp(distances), labels) == pytest.approx(base)
-        assert auc_score(distances**3, labels) == pytest.approx(base)
+        # Untied, then rounded to six distinct values, so most are tied.
+        for d in (distances, distances.round()):
+            base = auc_score(d, labels)
+            assert base == rankdata_auc(d, labels)
+            assert auc_score(np.exp(d), labels) == pytest.approx(base)
+            assert auc_score(d**3, labels) == pytest.approx(base)
+
+    def test_nan_distance_gives_nan(self):
+        distances = np.array([1.0, np.nan, 3.0, 4.0])
+        labels = np.array([False, True, False, True])
+        assert np.isnan(auc_score(distances, labels))
+        assert np.isnan(rankdata_auc(distances, labels))
 
     @pytest.mark.parametrize("label", [False, True])
     def test_one_class_is_invalid_config(self, label):

@@ -587,3 +587,28 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text(encoding="utf-8"))["mu"] == [0.0, 0.0]
+
+
+class TestImportFootprint:
+    """A fresh interpreter loads only the scipy subpackages fdb runs."""
+
+    @staticmethod
+    def loaded_modules(code):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code + "\nimport sys\nprint(' '.join(sys.modules))"],
+            capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        return set(proc.stdout.split())
+
+    def test_import_leaves_out_stats_and_spatial(self):
+        modules = self.loaded_modules("import fdb, fdb.cli")
+        assert "fdb.cli" in modules
+        assert not {"scipy.stats", "scipy.spatial"} & modules
+
+    def test_l2_depth_loads_cdist(self):
+        modules = self.loaded_modules(
+            "import numpy as np, fdb\nfdb.l2_depth(np.random.default_rng(0).standard_normal((50, 3)))"
+        )
+        assert "scipy.spatial.distance" in modules

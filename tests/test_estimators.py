@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -189,7 +190,8 @@ class TestMahalanobisSq:
 
     def test_overflowing_difference_is_non_finite_values(self):
         ls = LocationScatter(np.array([-1e308]), np.eye(1))
-        with pytest.raises(NonFiniteValues), np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteValues), warnings.catch_warnings():
+            warnings.simplefilter("error")
             mahalanobis_sq([[1e308], [0.0]], ls)
 
     def test_nan_location_is_non_finite_values(self):
@@ -464,7 +466,8 @@ class TestFdbEstimate:
     def test_overflowing_scatter_is_tagged(self, rng, depth):
         # The covariance of data scaled by 1e160 overflows.
         x = rng.standard_normal((200, 5)) * 1e160
-        with pytest.raises(NonFiniteValues) as exc, np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteValues) as exc, warnings.catch_warnings():
+            warnings.simplefilter("error")
             fdb_estimate(x, EstimatorConfig(depth=depth))
         assert exc.value.stage == "scatter"
         assert isinstance(exc.value, ValueError)

@@ -220,6 +220,12 @@ class TestRunBenchmark:
         with pytest.raises(InvalidConfig):
             run_benchmark(cells, replicates=2, seed=1, alpha=2.0, threads=threads)
 
+    @pytest.mark.parametrize("threads", [2.5, 0, -3, "2"])
+    def test_invalid_thread_count_is_invalid_config(self, threads):
+        cells = [BenchmarkCell("A", "cluster", 0.1, 5.0, "fdb-l2")]
+        with pytest.raises(InvalidConfig, match="thread count"):
+            run_benchmark(cells, replicates=2, seed=3, threads=threads)
+
     def test_empty_grid_and_no_replicates_are_invalid_config(self):
         with pytest.raises(InvalidConfig):
             run_benchmark([], replicates=1)
