@@ -11,7 +11,6 @@ or a fixed top-m rule, optionally scored with AUC against known labels.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from scipy.special import ndtri
 
 from . import numeric
 from .depth import as_data_matrix
-from .errors import DimensionError, InvalidConfig, InvalidRule
+from .errors import DimensionError, InvalidConfig, InvalidRule, NonFiniteValues
 from .estimators import LocationScatter, mahalanobis_sq
 
 CATEGORIES = ("regular", "good_leverage", "orthogonal_outlier", "bad_leverage")
@@ -156,7 +155,8 @@ def _average_ranks(d: np.ndarray) -> np.ndarray:
 
 
 def auc_score(distances, labels) -> float:
-    """Mann-Whitney AUC of the distances against boolean labels; ties count 1/2."""
+    """Mann-Whitney AUC of the distances against boolean labels; ties count
+    1/2. A NaN distance has no rank and raises ``NonFiniteValues``."""
     d = np.asarray(distances, dtype=float).ravel()
     y = np.asarray(labels, dtype=bool).ravel()
     if d.size != y.size:
@@ -166,7 +166,7 @@ def auc_score(distances, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise InvalidConfig("AUC needs at least one positive and one negative label")
     if np.isnan(d).any():
-        return math.nan
+        raise NonFiniteValues("distances contain NaN")
     ranks = _average_ranks(d)
     return float((ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -235,6 +235,19 @@ def _parse_k(value: "str | None") -> "int | None":
     return k
 
 
+def _parse_floats(flag: str, value: str) -> "list[float]":
+    """The numbers of the comma list ``value`` given to ``flag``; blank items
+    are skipped."""
+    numbers = []
+    for token in value.split(","):
+        if token.strip():
+            try:
+                numbers.append(float(token))
+            except ValueError:
+                raise InputError(f"{flag} must list numbers, got {token.strip()!r}") from None
+    return numbers
+
+
 def _json_dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -309,8 +322,8 @@ def cmd_benchmark(args) -> int:
                 )
         names.append(token)
     kinds = [t.strip() for t in args.contamination.split(",") if t.strip()]
-    epsilons = [float(t) for t in args.epsilon.split(",") if t.strip()]
-    rs = [float(t) for t in args.r.split(",") if t.strip()]
+    epsilons = _parse_floats("--epsilon", args.epsilon)
+    rs = _parse_floats("--r", args.r)
     methods = [t.strip() for t in args.methods.split(",") if t.strip()]
     for method in methods:
         if method not in evaluation.METHODS:

@@ -73,9 +73,10 @@ _CHUNK_BYTES = _BLOCK_BYTES // 4
 
 # An L2 worker may finish this many blocks ahead of the block whose column
 # sums are due next before it waits. In strict lock-step (0) a stall of one
-# thread stalls the other; two workers at n = 2000, p = 200 took a median
-# 10.2 ms with 0 and 9.8 ms with 4 on a quiet host. 4 costs at most four
-# parked length-m vectors.
+# thread stalls the other; two workers at n = 2000, p = 200, one BLAS thread,
+# took a median 34.2-43.6 ms with 0 and 33.6-38.7 ms with 4 (three passes of
+# 30 alternating calls on a 2-vCPU Xeon). 4 costs at most four parked
+# length-m vectors.
 _L2_LOOKAHEAD = 4
 
 # From this dimension on, L2 depth uses the Gram form |a|^2 + |b|^2 - 2 a'b,
@@ -123,29 +124,28 @@ def _worker_count(threads: "int | None") -> int:
     return checked_thread_count(threads)
 
 
-def _workers(threads: "int | None", blocks: int, block_work: int) -> int:
-    """Worker threads for ``blocks`` blocks of ``block_work`` multiply-adds
-    each: the thread count, at most one per block, and one below
-    ``_PARALLEL_WORK``."""
+def _share(work, items, blocks: int, threads: "int | None", block_work: int) -> list:
+    """Run ``work(take)`` on T worker threads; return their results in
+    worker order.
+
+    ``take()`` hands out the ``blocks`` ``items`` in order, one per call, to
+    whichever worker asks next, and None once all are taken. T is the
+    thread count (``threads``, else FDB_THREADS, else 1), at most
+    ``blocks``, where a block takes ``block_work`` >= ``_PARALLEL_WORK``
+    multiply-adds, and 1 otherwise; a single worker runs inline.
+    """
     count = _worker_count(threads)
-    return min(count, blocks) if block_work >= _PARALLEL_WORK else 1
+    workers = min(count, blocks) if block_work >= _PARALLEL_WORK else 1
+    items, lock = iter(items), threading.Lock()
 
+    def take():
+        with lock:
+            return next(items, None)
 
-def _run(work, shares: list) -> list:
-    """``[work(s) for s in shares]``: a single share inline, more each in a
-    worker thread of its own."""
-    if len(shares) == 1:
-        return [work(shares[0])]
-    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-        return list(pool.map(work, shares))
-
-
-def _map_blocks(work, starts: range, threads: "int | None", block_work: int) -> list:
-    """Deal the block ``starts`` round-robin to T = ``_workers(...)``
-    workers (worker w takes blocks w, w + T, ...) and return each worker's
-    ``work(starts)``, in worker order."""
-    workers = _workers(threads, len(starts), block_work)
-    return _run(work, [starts[w::workers] for w in range(workers)])
+    if workers == 1:
+        return [work(take)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, [take] * workers))
 
 
 def default_direction_count(p: int) -> int:
@@ -203,10 +203,7 @@ class DirectionSet:
     def directions(self) -> np.ndarray:
         if self._given is not None:
             return self._given
-        rng = np.random.default_rng(self.seed)
-        u = rng.standard_normal(self._shape)
-        _normalize(u)
-        return u
+        return _normalize(np.random.default_rng(self.seed).standard_normal(self._shape))
 
 
 def sample_directions(p: int, k: int, seed: int) -> DirectionSet:
@@ -226,72 +223,43 @@ def sample_directions(p: int, k: int, seed: int) -> DirectionSet:
     return DirectionSet._drawn(p, k, seed)
 
 
-def _normalize(u: np.ndarray) -> None:
-    """Divide the rows of ``u`` by their norms in place; a row of norm 0
-    stays zeros. The norms are ``np.linalg.norm(u, axis=1)`` bit for bit,
-    taken over blocks of rows so that their squares never fill a second
-    array of the size of ``u``."""
+def _normalize(u: np.ndarray) -> np.ndarray:
+    """Divide the rows of ``u`` by their norms in place and return ``u``; a
+    row of norm 0 stays zeros. The norms are ``np.linalg.norm(u, axis=1)``
+    bit for bit, taken over blocks of rows so that their squares never fill
+    a second array of the size of ``u``."""
     rows = _block_rows(u.shape[1])
     norms = np.concatenate(
         [np.linalg.norm(u[start : start + rows], axis=1) for start in range(0, u.shape[0], rows)]
     )
     norms[norms == 0.0] = 1.0
     u /= norms[:, None]
+    return u
 
 
-class _DirectionBlocks:
-    """Hands out the directions of a set in blocks of ``rows``, in index
-    order, to any number of worker threads.
+def _direction_blocks(dirs: DirectionSet, rows: int):
+    """The directions of ``dirs`` in blocks of ``rows``, in index order.
 
     An explicit set's blocks are views of its array. A drawn set is drawn
     from one ``np.random.default_rng(seed)`` in index order, in chunks of
     whole blocks of at most ``_CHUNK_BYTES`` or one block, whichever is
     larger, so its blocks hold the bits of ``DirectionSet.directions``.
-    Each chunk is drawn and normalized under the lock when the blocks before
-    it are taken, and its blocks are views of it, so a chunk lives until its
-    last block is done. The first chunk is drawn here, before the workers
-    allocate their blocks.
+    Each chunk is drawn and normalized when its first block is asked for,
+    and its blocks are views of it, so a chunk lives until its last block
+    is done.
     """
-
-    __slots__ = ("_rows", "_lock", "_next", "_offset", "_source", "_rng", "_shape", "_chunk_rows")
-
-    def __init__(self, dirs: DirectionSet, rows: int):
-        self._rows = rows
-        self._lock = threading.Lock()
-        self._next = 0
-        self._offset = 0  # index of the first row of ``_source``
-        if dirs.drawn:
-            self._shape = dirs.k, dirs.p
-            self._rng = np.random.default_rng(dirs.seed)
-            self._chunk_rows = max(1, _CHUNK_BYTES // (8 * dirs.p * rows)) * rows
-            self._source = None
-            self._refill()
-        else:
-            self._rng = None
-            self._source = dirs.directions
-
-    def take(self) -> "np.ndarray | None":
-        """The next block of directions; None once every block is taken."""
-        with self._lock:
-            if self._next == self._offset + len(self._source) and not self._refill():
-                return None
-            start = self._next - self._offset
-            block = self._source[start : start + self._rows]
-            self._next += len(block)
-            return block
-
-    def _refill(self) -> bool:
-        """Draw the next chunk; False when nothing is left to draw (``_rng``
-        is None), as for an explicit set. Called under the lock."""
-        if self._rng is None:
-            return False
-        k, p = self._shape
-        source = self._rng.standard_normal((min(self._chunk_rows, k - self._next), p))
-        _normalize(source)
-        self._source, self._offset = source, self._next
-        if self._next + len(source) >= k:
-            self._rng = None
-        return True
+    if not dirs.drawn:
+        u = dirs.directions
+        for start in range(0, dirs.k, rows):
+            yield u[start : start + rows]
+        return
+    k, p = dirs.k, dirs.p
+    rng = np.random.default_rng(dirs.seed)
+    chunk_rows = max(1, _CHUNK_BYTES // (8 * p * rows)) * rows
+    for first in range(0, k, chunk_rows):
+        chunk = _normalize(rng.standard_normal((min(chunk_rows, k - first), p)))
+        for start in range(0, len(chunk), rows):
+            yield chunk[start : start + rows]
 
 
 def _projection_rows(n: int, p: int) -> int:
@@ -316,22 +284,22 @@ def projection_depth(data, dirs: DirectionSet, threads: "int | None" = None) -> 
     a drawn set, the chunks of directions that the workers' blocks come
     from, each of at most ``_CHUNK_BYTES`` or one block of directions,
     whatever k is. ``threads`` workers (``None``: FDB_THREADS, else 1) take
-    the blocks in index order; the depths are bitwise equal for every
-    count.
+    the blocks in index order, each the next one when it asks; the depths
+    are bitwise equal for every count.
     """
     x = as_data_matrix(data)
     n, p = x.shape
     if dirs.p != p:
         raise DimensionError(f"directions have dimension {dirs.p}, data has dimension {p}")
     rows = min(_projection_rows(n, p), dirs.k)
-    blocks = _DirectionBlocks(dirs, rows)
 
-    def running_max(blocks):
+    def running_max(take):
+        block = take()  # draws a drawn set's first chunk before the buffers
         proj = np.empty((rows, n))  # one direction per row
         work = np.empty((rows, n))  # partitioned copy for the medians
         outlyingness = np.zeros(n)
         usable = False
-        while (block := blocks.take()) is not None:
+        while block is not None:
             dev = proj[: block.shape[0]]
             part = work[: block.shape[0]]
             np.matmul(block, x.T, out=dev)
@@ -346,10 +314,11 @@ def projection_depth(data, dirs: DirectionSet, threads: "int | None" = None) -> 
             madv[zero] = np.inf
             np.divide(dev, madv[:, None], out=dev)
             np.maximum(outlyingness, dev.max(axis=0), out=outlyingness)
+            block = take()
         return outlyingness, usable
 
-    workers = _workers(threads, -(-dirs.k // rows), rows * n * p)
-    results = _run(running_max, [blocks] * workers)
+    blocks = _direction_blocks(dirs, rows)
+    results = _share(running_max, blocks, -(-dirs.k // rows), threads, rows * n * p)
     if not any(usable for _, usable in results):
         raise DegenerateData("every projection direction has zero MAD")
     # The maximum is exact, so merging the workers' maxima in any order
@@ -371,8 +340,9 @@ def l2_depth(data, threads: "int | None" = None, *, return_mean_distance: bool =
     ``_BLOCK_BYTES`` per worker thread besides one copy of the data and a
     few length-n vectors: in the Gram form one per worker, at most
     ``_L2_LOOKAHEAD`` parked ones and the accumulator. ``threads`` workers
-    (``None``: FDB_THREADS, else 1) share the blocks; the depths are bitwise
-    equal for every count.
+    (``None``: FDB_THREADS, else 1) take the blocks in index order, each the
+    next one when it asks, and the block terms of every sum are added in
+    block order; the depths are bitwise equal for every count.
 
     With ``return_mean_distance`` the result is (depths, mean distances).
     The depth rounds to 1 for mean distances below 2**-53, so tiny data
@@ -393,12 +363,12 @@ def l2_depth(data, threads: "int | None" = None, *, return_mean_distance: bool =
         rows = _block_rows(n)
         sums = np.empty(n)
 
-        def fill(starts):  # workers write disjoint slices of sums
-            for start in starts:
+        def fill(take):  # workers write disjoint slices of sums
+            while (start := take()) is not None:
                 stop = min(start + rows, n)
                 sums[start:stop] = cdist(scaled[start:stop], scaled).sum(axis=1)
 
-        _map_blocks(fill, range(0, n, rows), threads, rows * n * p)
+        _share(fill, range(0, n, rows), -(-n // rows), threads, rows * n * p)
     mean_dist = np.ldexp(sums / n, exponent)
     depths = 1.0 / (1.0 + mean_dist)
     return (depths, mean_dist) if return_mean_distance else depths
@@ -415,10 +385,11 @@ def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> 
     Each pair of distinct rows is computed once. The block of rows
     [start, stop) takes the strip of distances to the rows from ``start``
     on: its row sums complete those rows, and its weighted column sums fill
-    in the lower triangle of every later row. A ``_BlockOrderSum`` adds the
-    blocks' vectors in block order, so every sum adds the same per-block
-    terms in the same order for every thread count. The working memory is one
-    block of at most ``_BLOCK_BYTES`` and one length-m vector per worker,
+    in the lower triangle of every later row. The workers take the blocks
+    in index order, each the next one when it asks, and a ``_BlockOrderSum``
+    adds the blocks' vectors in block order, whichever worker finishes
+    first, so every sum adds the same per-block terms in the same order for
+    every thread count. The working memory is one block of at most ``_BLOCK_BYTES`` and one length-m vector per worker,
     at most ``_L2_LOOKAHEAD`` parked length-m vectors and the accumulator,
     besides the centred copy.
     """
@@ -430,10 +401,10 @@ def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> 
     rows = min(_block_rows(m), m)
     sums = _BlockOrderSum(m)
 
-    def fill(starts):
+    def fill(take):
         buf = np.empty(rows * m)
         try:
-            for start in starts:
+            while (start := take()) is not None:
                 stop = min(start + rows, m)
                 r = stop - start
                 d2 = buf[: r * (m - start)].reshape(r, m - start)
@@ -450,7 +421,7 @@ def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> 
             sums.fail()
             raise
 
-    _map_blocks(fill, range(0, m, rows), threads, rows * (m + rows) // 2 * p)
+    _share(fill, range(0, m, rows), -(-m // rows), threads, rows * (m + rows) // 2 * p)
     return sums.total[inverse]
 
 

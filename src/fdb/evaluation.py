@@ -13,7 +13,8 @@ import csv
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -301,6 +302,17 @@ def _run_method(x, method: str, alpha: float, seed: int):
     raise InvalidConfig(f"unknown method {method!r}")
 
 
+def _cell_specs(cell: BenchmarkCell, settings: "dict | None"):
+    """The (GenerationSpec, ContaminationSpec) of ``cell``, the generation
+    seed left at 0; ``InvalidConfig`` for a setting missing from
+    ``settings`` (default ``SETTINGS``)."""
+    try:
+        n, p = (settings or SETTINGS)[cell.setting]
+    except KeyError:
+        raise InvalidConfig(f"unknown setting {cell.setting!r}") from None
+    return GenerationSpec(n, p), ContaminationSpec(cell.kind, cell.epsilon, cell.r)
+
+
 def run_replicate(
     cell: BenchmarkCell,
     replicate: int,
@@ -309,10 +321,11 @@ def run_replicate(
     settings: "dict | None" = None,
 ) -> MetricsReport:
     """Generate, contaminate, shuffle, estimate and score one replicate."""
-    n, p = (settings or SETTINGS)[cell.setting]
+    generation, contamination = _cell_specs(cell, settings)
+    n, p = generation.n, generation.p
     gen_seed, cont_seed, shuffle_seed, est_seed = _replicate_seeds(seed, replicate)
-    _, y, g = generate_clean(GenerationSpec(n, p, seed=gen_seed))
-    y2, _ = contaminate(y, ContaminationSpec(cell.kind, cell.epsilon, cell.r), seed=cont_seed)
+    _, y, g = generate_clean(replace(generation, seed=gen_seed))
+    y2, _ = contaminate(y, contamination, seed=cont_seed)
     # Shuffle so that estimators cannot exploit the placement of the outliers.
     perm = np.random.default_rng(shuffle_seed).permutation(n)
     x = y2[perm] @ g.T
@@ -334,9 +347,11 @@ def run_benchmark(
     """Average the metrics of every cell over ``replicates`` replicates.
 
     Estimator failures are counted per cell and excluded from the averages;
-    a cell with more than 1% failures is flagged. Results are identical for
-    any thread count: replicate streams depend only on (seed, replicate) and
-    aggregation is indexed by replicate.
+    a cell with more than 1% failures is flagged. A cell that no replicate
+    can run raises instead: an unknown setting raises ``InvalidConfig``, an
+    impossible size or contamination the error of its spec. Results are
+    identical for any thread count: replicate streams depend only on (seed,
+    replicate) and aggregation is indexed by replicate.
     """
     threads = checked_thread_count(threads)
     cells = [cell.normalized() for cell in cells]
@@ -346,27 +361,22 @@ def run_benchmark(
         raise InvalidConfig(f"need at least one replicate, got {replicates}")
     rows: "list[BenchmarkRow]" = []
     for cell in cells:
-        results: "list[MetricsReport | None]" = [None] * replicates
+        _cell_specs(cell, settings)  # a cell that no replicate can run raises here
 
         def one(rep: int, cell=cell):
             try:
                 return run_replicate(cell, rep, seed, alpha=alpha, settings=settings)
-            except InvalidConfig:
+            except (InvalidConfig, InvalidContamination):
                 raise  # a bad setting fails every replicate alike
             except FdbError:
                 return None
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for rep, metrics in enumerate(pool.map(one, range(replicates))):
-                    results[rep] = metrics
-                    if progress is not None:
-                        progress(cell, rep + 1, replicates)
-        else:
-            for rep in range(replicates):
-                results[rep] = one(rep)
+        results: "list[MetricsReport | None]" = []
+        with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+            for metrics in (map if pool is None else pool.map)(one, range(replicates)):
+                results.append(metrics)
                 if progress is not None:
-                    progress(cell, rep + 1, replicates)
+                    progress(cell, len(results), replicates)
 
         kept = [m for m in results if m is not None]
         failures = replicates - len(kept)

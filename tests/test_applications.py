@@ -10,7 +10,7 @@ from fdb.applications import (
     pca_diagnostics,
     robust_pca,
 )
-from fdb.errors import DimensionError, InvalidConfig, InvalidRule
+from fdb.errors import DimensionError, InvalidConfig, InvalidRule, NonFiniteValues
 from fdb.estimators import LocationScatter
 from fdb.numeric import chi_square_quantile, eigen_symmetric
 from oracles import random_spd
@@ -144,10 +144,11 @@ class TestAuc:
             assert auc_score(np.exp(d), labels) == pytest.approx(base)
             assert auc_score(d**3, labels) == pytest.approx(base)
 
-    def test_nan_distance_gives_nan(self):
+    def test_nan_distance_raises_non_finite_values(self):
         distances = np.array([1.0, np.nan, 3.0, 4.0])
         labels = np.array([False, True, False, True])
-        assert np.isnan(auc_score(distances, labels))
+        with pytest.raises(NonFiniteValues):
+            auc_score(distances, labels)
         assert np.isnan(rankdata_auc(distances, labels))
 
     @pytest.mark.parametrize("label", [False, True])

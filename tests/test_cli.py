@@ -331,6 +331,16 @@ class TestBenchmark:
         assert main(["benchmark", "--output", str(tmp_path / "b.csv"),
                      "--setting", "Z"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag,value,token", [("--epsilon", "abc", "abc"), ("--epsilon", "0.1, x", "x"), ("--r", "x", "x")]
+    )
+    def test_malformed_number_list_is_an_input_error(self, tmp_path, capsys, flag, value, token):
+        out = tmp_path / "b.csv"
+        assert main(["benchmark", "--output", str(out), "--setting", "A", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and flag in err and repr(token) in err
+        assert not out.exists()
+
 
 class TestPca:
     def test_rank_deficient_truth_gives_zero_od(self, tmp_path):

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -387,6 +388,46 @@ class TestThreadCount:
                 reduction._turn.notify_all()
         assert not hung, "l2_depth did not return within 10 s"
         assert [str(exc) for exc in outcome] == ["second block"]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", ["projection", "cdist"])
+    def test_failing_block_is_raised_on_every_path(
+        self, rng, monkeypatch, workers_at_any_size, kernel, threads
+    ):
+        # The second median (block 0's MAD) or the second block's distances
+        # raise. The other workers finish, and the error is re-raised.
+        owner, name = {
+            "projection": (depth.numeric, "row_medians"),
+            "cdist": (scipy.spatial.distance, "cdist"),
+        }[kernel]
+        original, calls, lock = getattr(owner, name), [], threading.Lock()
+
+        def failing(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                if len(calls) == 2:
+                    raise MemoryError("second call")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, failing)
+        x = rng.standard_normal((300, 5))  # 10 projection blocks, 3 cdist blocks
+        dirs = sample_directions(5, 1000, seed=0)
+        outcome = []
+
+        def call():
+            try:
+                if kernel == "projection":
+                    projection_depth(x, dirs, threads)
+                else:
+                    l2_depth(x, threads)
+            except MemoryError as exc:
+                outcome.append(exc)
+
+        helper = threading.Thread(target=call, daemon=True)
+        helper.start()
+        helper.join(10.0)
+        assert not helper.is_alive(), f"the {kernel} path did not return within 10 s"
+        assert [str(exc) for exc in outcome] == ["second call"]
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_memory_bounded_per_worker(self, rng, pools, workers_at_any_size, threads):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fdb.errors import InvalidConfig, InvalidContamination, SingularTransform
+from fdb.errors import DimensionError, InvalidConfig, InvalidContamination, SingularTransform
 from fdb.estimators import LocationScatter
 from fdb.evaluation import (
+    SETTINGS,
     BenchmarkCell,
     ContaminationSpec,
     GenerationSpec,
@@ -235,6 +236,29 @@ class TestRunBenchmark:
     def test_unknown_method_is_invalid_config(self):
         with pytest.raises(InvalidConfig, match="unknown method 'mcd'"):
             run_benchmark([BenchmarkCell("A", "none", 0.0, 0.0, "mcd")], replicates=2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "setting,kind,epsilon,error",
+        [
+            ("Z", "none", 0.0, InvalidConfig),  # unknown setting
+            ("A", "cluster", 0.7, InvalidContamination),  # epsilon above 0.5
+            ("empty", "none", 0.0, DimensionError),  # n = 0
+            ("line", "point", 0.1, InvalidContamination),  # point needs p >= 2
+        ],
+    )
+    def test_cell_no_replicate_can_run_is_raised(self, threads, setting, kind, epsilon, error):
+        done = []
+        with pytest.raises(error):
+            run_benchmark(
+                [BenchmarkCell(setting, kind, epsilon, 5.0, "fdb-l2")],
+                replicates=3,
+                seed=1,
+                threads=threads,
+                settings={**SETTINGS, "empty": (0, 3), "line": (50, 1)},
+                progress=lambda cell, count, total: done.append(count),
+            )
+        assert done == []
 
     def test_epsilon_zero_normalizes_to_clean_cell(self):
         rows = run_benchmark(
