@@ -11,6 +11,11 @@ the run length R come from that BENCHMARK.json (``command``, ``run_seconds``). F
 (metrics, attempted and failed counts), the ``environment:`` line and the
 ``digests:`` line of subset digests. The file is written next to this
 script's repository root unless ``--output`` names another path.
+
+It prints a note when the CPU or the BLAS build differs from those of the
+newest BENCH file committed in this repository: numbers from two hosts do
+not compare, so a before/after claim then needs the parent re-recorded on
+this host.
 """
 
 import argparse
@@ -60,6 +65,34 @@ def record_run(root: Path, base: list, workload: str, seed: int, seconds: float,
     }
 
 
+def newest_committed_bench(root: Path) -> "Path | None":
+    """The BENCH_*.json that the latest commit adding one added, else None."""
+    out = subprocess.run(
+        ["git", "-C", str(root), "log", "--diff-filter=A", "--name-only", "--format=", "--", "BENCH_*.json"],
+        capture_output=True, encoding="utf-8", timeout=30,
+    )
+    names = [line for line in out.stdout.splitlines() if line.strip()] if out.returncode == 0 else []
+    return root / names[0] if names and (root / names[0]).exists() else None
+
+
+def host_notes(previous: dict, runs: list, name: str) -> "list[str]":
+    """Notes for each of environment.cpu and blas that differs between the
+    runs of the BENCH document ``previous`` (file ``name``) and ``runs``."""
+
+    def environment(items):
+        return next((run["environment"] for run in items if run.get("environment")), None)
+
+    old, new = environment(previous.get("runs", [])), environment(runs)
+    if old is None or new is None:
+        return []
+    return [
+        f"note: environment.{key} differs from {name}: {old.get(key)!r} there, {new.get(key)!r} here; "
+        "numbers from the two do not compare, so re-record the parent on this host"
+        for key in ("cpu", "blas")
+        if old.get(key) != new.get(key)
+    ]
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     root = args.root.resolve()
@@ -71,6 +104,10 @@ def main(argv=None) -> int:
             run = record_run(root, spec["command"], entry["name"], args.seed, seconds, trace)
             print(f"{entry['name']} trace={trace}: exit {run['exit_code']}", file=sys.stderr)
             runs.append(run)
+    newest = newest_committed_bench(ROOT)
+    if newest is not None:
+        for note in host_notes(json.loads(newest.read_text(encoding="utf-8")), runs, newest.name):
+            print(note, file=sys.stderr)
     output = args.output or ROOT / f"BENCH_{args.label}.json"
     document = {"label": args.label, "seed": args.seed, "seconds": seconds, "runs": runs}
     output.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -343,6 +343,13 @@ def cmd_benchmark(args) -> int:
                         if cell not in seen:
                             seen.add(cell)
                             cells.append(cell)
+    for cell in cells:
+        try:
+            evaluation.check_cell(cell, settings)
+        except FdbError as exc:
+            raise InputError(
+                f"cell {cell.setting}/{cell.kind}/eps={cell.epsilon:g}/r={cell.r:g} cannot run: {exc}"
+            ) from None
 
     rows = evaluation.run_benchmark(
         cells,

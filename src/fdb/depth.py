@@ -132,20 +132,33 @@ def _share(work, items, blocks: int, threads: "int | None", block_work: int) -> 
     whichever worker asks next, and None once all are taken. T is the
     thread count (``threads``, else FDB_THREADS, else 1), at most
     ``blocks``, where a block takes ``block_work`` >= ``_PARALLEL_WORK``
-    multiply-adds, and 1 otherwise; a single worker runs inline.
+    multiply-adds, and 1 otherwise; a single worker runs inline. Once a
+    worker raises, ``take()`` hands out nothing more, and the error is
+    raised when the others have finished their blocks.
     """
     count = _worker_count(threads)
     workers = min(count, blocks) if block_work >= _PARALLEL_WORK else 1
     items, lock = iter(items), threading.Lock()
+    failed = False
 
     def take():
         with lock:
-            return next(items, None)
+            return None if failed else next(items, None)
 
     if workers == 1:
         return [work(take)]
+
+    def guarded(take):
+        nonlocal failed
+        try:
+            return work(take)
+        except BaseException:
+            with lock:
+                failed = True
+            raise
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, [take] * workers))
+        return list(pool.map(guarded, [take] * workers))
 
 
 def default_direction_count(p: int) -> int:

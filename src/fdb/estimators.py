@@ -31,6 +31,7 @@ from .errors import (
     InvalidSubsetSize,
     NonFiniteValues,
     NotPositiveDefinite,
+    NotSymmetric,
     OracleTooLarge,
     SingularCovariance,
     TooFewWeightedSamples,
@@ -39,6 +40,9 @@ from .errors import (
 _RIDGE_SCALE = 1e-10
 _DET_TOL = 1e-12
 _MAX_C_STEPS = 100
+# fastmcd_baseline concentrates its starts in stacks of about this many
+# bytes of n x p data, one n x p array per start: 8 starts at 400 x 40.
+_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,14 @@ class LocationScatter:
     @cached_property
     def lower_inverse(self) -> np.ndarray:
         return numeric.triangular_inverse(self.lower)
+
+    @classmethod
+    def _factored(cls, mu: np.ndarray, sigma: np.ndarray, lower: np.ndarray) -> "LocationScatter":
+        # An estimate whose factor is already known; cached_property keeps
+        # its values in the instance dict, which the frozen dataclass allows.
+        estimate = cls(mu, sigma)
+        estimate.__dict__["lower"] = lower
+        return estimate
 
 
 @dataclass
@@ -144,6 +156,61 @@ def _stage(name: str):
         raise
 
 
+def _moments(x: np.ndarray, idx: np.ndarray, div: int, work: "np.ndarray | None" = None):
+    # Means (B, p) and scatters (B, p, p) of the row sets idx (B, m) of x,
+    # the scatters divided by div. One gather, one mean and one stacked
+    # product serve the whole stack. The rows are gathered as (m, B, p), so
+    # the mean and the centring run along rows of B * p numbers; each
+    # mean still adds its m rows in order, as a mean of one (m, p) set does.
+    # They go into ``work`` (flat, at least m * B * p) when it is given: a
+    # stack's rows are too large for the allocator to keep, and allocating
+    # them afresh faulted in every page of them on every call.
+    if work is None:
+        rows = np.take(x, idx.T, axis=0)
+    else:
+        shape = (idx.shape[1], idx.shape[0], x.shape[1])
+        # mode="clip" gathers straight into work, where the default mode
+        # goes through a buffer; the starts' indices are in range.
+        rows = np.take(x, idx.T, axis=0, out=work[: math.prod(shape)].reshape(shape), mode="clip")
+    # An overflow here makes sigma non-finite, which its factorization
+    # reports as NonFiniteValues; numpy need not warn of it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = rows.mean(axis=0)
+        rows -= mu
+        sigma = np.matmul(rows.transpose(1, 2, 0), rows.transpose(1, 0, 2))
+    del rows  # without work, frees the gathered rows before the p x p work
+    sigma /= div
+    return mu, sigma
+
+
+def _factor_moments(sigma: np.ndarray):
+    # numeric.cholesky_stack of scatters from _moments. numpy takes a product
+    # of a matrix with its own transpose as one symmetric rank-k update and
+    # mirrors it, so they are exactly symmetric; on a build without that
+    # path, the lower triangles are mirrored, which changes no bits of a
+    # symmetric product.
+    try:
+        return numeric.cholesky_stack(sigma)
+    except NotSymmetric:
+        upper = np.triu(np.ones(sigma.shape[1:], dtype=bool), 1)
+        np.copyto(sigma, sigma.transpose(0, 2, 1), where=upper)
+        return numeric.cholesky_stack(sigma)
+
+
+def _ridged(sigma: np.ndarray):
+    # Adds (1e-10 * trace / p) * I to a singular covariance; returns the
+    # sum and its factor, or raises NotPositiveDefinite.
+    bump = _RIDGE_SCALE * float(np.trace(sigma)) / sigma.shape[0]
+    repaired = sigma + bump * np.eye(sigma.shape[0])
+    return repaired, numeric.cholesky(repaired)
+
+
+def _singular(pivot: int) -> SingularCovariance:
+    return SingularCovariance(
+        f"subset covariance is singular (matrix is not positive definite (pivot {pivot}))"
+    )
+
+
 def subset_mean_cov(data, subset, denominator: str = "h-1", ridge: bool = False) -> LocationScatter:
     """Mean and covariance of the rows selected by ``subset``.
 
@@ -165,34 +232,43 @@ def subset_mean_cov(data, subset, denominator: str = "h-1", ridge: bool = False)
     div = h if denominator == "h" else h - 1
     if div < 1:
         raise InvalidSubsetSize(f"subset of size {h} is too small for denominator {denominator}")
-    rows = x[idx]
-    # An overflow here makes sigma non-finite, which the Cholesky factor
-    # reports as NonFiniteValues; numpy need not warn of it first.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = rows.mean(axis=0)
-        rows -= mu
-        # numpy takes a product of an array with its own transpose as one
-        # symmetric rank-k update and mirrors it, so sigma is exactly symmetric.
-        sigma = rows.T @ rows
-    del rows  # frees the h x p copy before the p x p work
-    sigma /= div
-    estimate = LocationScatter(mu, sigma)
+    mu, sigma = _moments(x, idx[None], div)
+    lower, pivot = _factor_moments(sigma)
+    if pivot[0] < 0:
+        return LocationScatter._factored(mu[0], sigma[0], lower[0])
+    if not ridge:
+        raise _singular(pivot[0])
     try:
-        estimate.lower  # the positive-definiteness check
+        return LocationScatter._factored(mu[0], *_ridged(sigma[0]))
     except NotPositiveDefinite as exc:
-        if not ridge:
-            raise SingularCovariance(
-                f"subset covariance is singular ({exc})"
-            ) from None
-        bump = _RIDGE_SCALE * float(np.trace(sigma)) / sigma.shape[0]
-        estimate = LocationScatter(mu, sigma + bump * np.eye(sigma.shape[0]))
-        try:
-            estimate.lower
-        except NotPositiveDefinite as exc2:
-            raise SingularCovariance(
-                f"subset covariance is singular even after ridge repair ({exc2})"
-            ) from None
-    return estimate
+        raise SingularCovariance(
+            f"subset covariance is singular even after ridge repair ({exc})"
+        ) from None
+
+
+def _distances(x: np.ndarray, mu, inverses) -> np.ndarray:
+    # Squared distances (B, n) of the rows of x under each state b, given
+    # its location mu[b] and inverse Cholesky factor inverses[b]; see
+    # mahalanobis_sq.
+    n, p = x.shape
+    rows = depth_mod._block_rows(p)
+    buffer = np.empty((min(n, rows), p))
+    d2 = np.empty((len(mu), n))
+    # An overflow makes a distance non-finite, which the check below reports;
+    # numpy need not warn of it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for center, inverse, out in zip(mu, inverses, d2):
+            for start in range(0, n, rows):
+                stop = min(start + rows, n)
+                block = buffer[: stop - start]
+                np.subtract(x[start:stop], center, out=block)
+                # The transpose of a C-ordered block is Fortran-ordered, so
+                # dtrmm overwrites the block in place.
+                z = dtrmm(1.0, inverse, block.T, lower=1, overwrite_b=1)
+                np.einsum("ij,ij->j", z, z, out=out[start:stop])
+    if not np.isfinite(d2).all():
+        raise NonFiniteValues("squared Mahalanobis distances are not finite")
+    return d2
 
 
 def mahalanobis_sq(data, ls: LocationScatter) -> np.ndarray:
@@ -210,31 +286,59 @@ def mahalanobis_sq(data, ls: LocationScatter) -> np.ndarray:
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != ls.p:
         raise DimensionError(f"expected an (n, {ls.p}) sample matrix, got shape {x.shape}")
-    n, p = x.shape
-    inverse = ls.lower_inverse
-    rows = depth_mod._block_rows(p)
-    buffer = np.empty((min(n, rows), p))
-    d2 = np.empty(n)
-    # An overflow makes a distance non-finite, which the check below reports;
-    # numpy need not warn of it first.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            block = buffer[: stop - start]
-            np.subtract(x[start:stop], ls.mu, out=block)
-            # The transpose of a C-ordered block is Fortran-ordered, so dtrmm
-            # overwrites the block in place.
-            z = dtrmm(1.0, inverse, block.T, lower=1, overwrite_b=1)
-            np.einsum("ij,ij->j", z, z, out=d2[start:stop])
-    if not np.isfinite(d2).all():
-        raise NonFiniteValues("squared Mahalanobis distances are not finite")
-    return d2
+    return _distances(x, [ls.mu], [ls.lower_inverse])[0]
 
 
-def _smallest_distance_subset(d2: np.ndarray, h: int, p: int) -> np.ndarray:
-    # Ties broken by lower index via the stable sort.
-    _checked_subset_size(h, d2.size, p)
-    return np.sort(np.argsort(d2, kind="stable")[:h])
+def _nearest(d2: np.ndarray, h: int) -> np.ndarray:
+    # The h smallest of each row of d2 (B, n), ties going to the lower
+    # index, as increasing indices (B, h): the first h of a stable argsort,
+    # sorted. A partition finds each row's h-th smallest value t; the rows
+    # below t are taken, and the lowest-indexed ones equal to t fill up.
+    t = np.partition(d2, h - 1, axis=1)[:, h - 1 : h]
+    below = d2 < t
+    tied = d2 == t
+    fill = h - below.sum(axis=1, keepdims=True)
+    taken = below | (tied & (np.cumsum(tied, axis=1) <= fill))
+    return np.nonzero(taken)[1].reshape(len(d2), h)
+
+
+def _concentrate(x: np.ndarray, mu, sigma, lower, h: int, max_iter: int, work=None):
+    # C-steps on a stack of B states, mu (B, p) with sigma and its factor
+    # lower (B, p, p), which are updated in place. Each state is stepped
+    # until its subset repeats, its determinant stalls or it has max_iter
+    # updates. One step takes each state's distances (one LAPACK dtrtri and
+    # one BLAS dtrmm per state), its h nearest rows by one partition over
+    # the stack, and their moments and factors as one stack.
+    #
+    # Returns (subsets, iterations, logdets, singular). singular[b] is -1,
+    # or the failing pivot of the h-subset covariance that stopped state b.
+    count = len(mu)
+    subsets = np.empty((count, h), dtype=np.intp)
+    iterations = np.zeros(count, dtype=int)
+    logdets = np.full(count, np.inf)
+    singular = np.full(count, -1)
+    live = np.arange(count)
+    for step in range(max_iter):
+        if not live.size:
+            break
+        inverses = [numeric.triangular_inverse(factor) for factor in lower[live]]
+        new = _nearest(_distances(x, mu[live], inverses), h)
+        if step:
+            moved = (new != subsets[live]).any(axis=1)
+            live, new = live[moved], new[moved]
+        subsets[live] = new
+        new_mu, new_sigma = _moments(x, new, h - 1, work)
+        new_lower, pivot = _factor_moments(new_sigma)
+        fit = pivot < 0
+        singular[live[~fit]] = pivot[~fit]
+        live = live[fit]
+        mu[live], sigma[live], lower[live] = new_mu[fit], new_sigma[fit], new_lower[fit]
+        iterations[live] += 1
+        logdet = numeric.log_determinant(lower[live])
+        stalled = logdets[live] - logdet < _DET_TOL
+        logdets[live] = logdet
+        live = live[~stalled]
+    return subsets, iterations, logdets, singular
 
 
 def c_step(data, state: LocationScatter, h: int):
@@ -255,27 +359,21 @@ def iterate_c_steps(data, start: LocationScatter, h: int, max_iter: int = _MAX_C
 
     Returns (subset, estimate, iterations). Stops when the newly selected
     subset equals the previous one, when the relative determinant decrease
-    falls below 1e-12, or after ``max_iter`` estimate updates.
+    falls below 1e-12, or after ``max_iter`` estimate updates. This is the
+    stacked step of ``fastmcd_baseline`` on a stack of one.
     """
     if max_iter < 1:
         raise InvalidConfig(f"need at least one C-step, got max_iter={max_iter}")
     x = np.asarray(data, dtype=float)
-    state = start
-    subset = None
-    prev_logdet = None
-    iterations = 0
-    while iterations < max_iter:
-        new_subset = _smallest_distance_subset(mahalanobis_sq(x, state), h, start.p)
-        if subset is not None and np.array_equal(new_subset, subset):
-            break
-        subset = new_subset
-        state = subset_mean_cov(x, subset, "h-1")
-        iterations += 1
-        logdet = numeric.log_determinant(state.lower)
-        if prev_logdet is not None and prev_logdet - logdet < _DET_TOL:
-            break
-        prev_logdet = logdet
-    return subset, state, iterations
+    p = start.p
+    if x.ndim != 2 or x.shape[1] != p:
+        raise DimensionError(f"expected an (n, {p}) sample matrix, got shape {x.shape}")
+    _checked_subset_size(h, x.shape[0], p)
+    mu, sigma, lower = start.mu[None].copy(), start.sigma[None].copy(), start.lower[None].copy()
+    subsets, iterations, _, singular = _concentrate(x, mu, sigma, lower, h, max_iter)
+    if singular[0] >= 0:
+        raise _singular(singular[0])
+    return subsets[0], LocationScatter._factored(mu[0], sigma[0], lower[0]), int(iterations[0])
 
 
 def reweight(data, ls: LocationScatter) -> ReweightResult:
@@ -396,6 +494,39 @@ def fdb_estimate(data, config: EstimatorConfig) -> EstimationReport:
     return _finish_report(x, subset, config.reweight, t0, t_subset, method)
 
 
+def _elemental_starts(x: np.ndarray, h: int, n_starts: int, seed: int) -> list:
+    # The start phase of fastmcd_baseline: (logdet, start index, h-subset)
+    # of every start that two C-steps leave non-singular, in start order.
+    # The starts go through _concentrate in stacks sized by _STACK_BYTES,
+    # which gather their rows into one buffer.
+    n, p = x.shape
+    stack = max(1, _STACK_BYTES // (8 * n * p))
+    work = np.empty(stack * h * p)
+    candidates = []
+    for first in range(0, n_starts, stack):
+        starts = range(first, min(first + stack, n_starts))
+        elementals = np.array([
+            np.sort(np.random.default_rng((seed, s)).choice(n, size=p + 1, replace=False))
+            for s in starts
+        ])
+        mu, sigma = _moments(x, elementals, p, work)
+        lower, pivot = _factor_moments(sigma)
+        for b in np.flatnonzero(pivot >= 0):
+            try:
+                sigma[b], lower[b] = _ridged(sigma[b])
+                pivot[b] = -1
+            except NotPositiveDefinite:
+                pass  # the start is dropped
+        kept = np.flatnonzero(pivot < 0)
+        subsets, _, logdets, singular = _concentrate(
+            x, mu[kept], sigma[kept], lower[kept], h, 2, work
+        )
+        candidates.extend(
+            (logdets[b], starts[kept[b]], subsets[b]) for b in np.flatnonzero(singular < 0)
+        )
+    return candidates
+
+
 def fastmcd_baseline(
     data,
     h: int,
@@ -407,9 +538,11 @@ def fastmcd_baseline(
 
     Draws ``n_starts`` random (p+1)-subsets, builds their (ridge-repaired)
     mean/covariance and applies two C-steps to each, keeping only the
-    determinant and h-subset of each start. The ten best subsets are refitted
-    and iterated to convergence, and the winner is finished with the same
-    consistency scaling and reweighting as the depth pipeline.
+    determinant and h-subset of each start; the starts are concentrated a
+    stack at a time by the step that ``iterate_c_steps`` takes for one. The
+    ten best subsets are refitted and iterated to convergence, and the
+    winner is finished with the same consistency scaling and reweighting as
+    the depth pipeline.
     Per-start RNG streams are derived from (seed, start index) so the result
     does not depend on evaluation order.
     """
@@ -421,16 +554,7 @@ def fastmcd_baseline(
         raise InvalidConfig(f"need at least one start, got {n_starts}")
 
     with _stage("subset"):
-        candidates = []  # (logdet, start index, subset)
-        for s in range(n_starts):
-            rng = np.random.default_rng((seed, s))
-            elemental = np.sort(rng.choice(n, size=p + 1, replace=False))
-            try:
-                state = subset_mean_cov(x, elemental, "h-1", ridge=True)
-                subset, state, _ = iterate_c_steps(x, state, h, max_iter=2)
-            except SingularCovariance:
-                continue
-            candidates.append((numeric.log_determinant(state.lower), s, subset))
+        candidates = _elemental_starts(x, h, n_starts, seed)
         if not candidates:
             raise DegenerateData("every elemental start produced a singular covariance")
 

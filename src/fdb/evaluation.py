@@ -82,6 +82,8 @@ class ContaminationSpec:
             raise InvalidContamination(f"unknown contamination kind {self.kind!r}")
         if not 0.0 <= self.epsilon <= 0.5:
             raise InvalidContamination(f"epsilon must lie in [0, 0.5], got {self.epsilon}")
+        if not math.isfinite(self.r):
+            raise InvalidContamination(f"r must be finite, got {self.r}")
 
 
 @dataclass
@@ -126,7 +128,7 @@ def contaminate(y, spec: ContaminationSpec, seed=0):
     """
     y = as_data_matrix(y)
     n, p = y.shape
-    m = int(math.floor(n * spec.epsilon))
+    m = _outlier_count(n, p, spec)
     out = y.copy()
     labels = np.zeros(n, dtype=bool)
     if spec.kind == "none" or m == 0:
@@ -134,10 +136,6 @@ def contaminate(y, spec: ContaminationSpec, seed=0):
     labels[n - m :] = True
     rng = np.random.default_rng(seed)
     if spec.kind == "point":
-        if p < 2:
-            raise InvalidContamination(
-                "point contamination needs p >= 2: no direction is orthogonal to the ones vector"
-            )
         ones = np.ones(p)
         while True:
             v = rng.standard_normal(p)
@@ -162,6 +160,16 @@ def contaminate(y, spec: ContaminationSpec, seed=0):
     else:  # radial
         out[n - m :] = math.sqrt(5.0) * rng.standard_normal((m, p))
     return out, labels
+
+
+def _outlier_count(n: int, p: int, spec: ContaminationSpec) -> int:
+    # m = floor(n * epsilon), the rows that contaminate replaces.
+    m = int(math.floor(n * spec.epsilon))
+    if spec.kind == "point" and m and p < 2:
+        raise InvalidContamination(
+            "point contamination needs p >= 2: no direction is orthogonal to the ones vector"
+        )
+    return m
 
 
 def back_transform(ls: LocationScatter, g) -> LocationScatter:
@@ -210,8 +218,12 @@ def _whitened(sigma_hat, sigma_true) -> np.ndarray:
 
 def scatter_cond_error(sigma_hat, sigma_true) -> float:
     """log10 condition number of sigma_hat sigma_true^-1."""
-    cond = numeric.condition_number(_whitened(sigma_hat, sigma_true))
-    return float(np.log10(cond))
+    return _cond_error(_whitened(sigma_hat, sigma_true))
+
+
+def _cond_error(w: np.ndarray) -> float:
+    # scatter_cond_error from the whitened scatter w.
+    return float(np.log10(numeric.condition_number(w)))
 
 
 def scatter_mse_single(sigma_hat, sigma_true) -> float:
@@ -223,20 +235,25 @@ def scatter_mse_single(sigma_hat, sigma_true) -> float:
 
 def kl_divergence(sigma_hat, sigma_true) -> float:
     """Gaussian KL divergence trace(S T^-1) - log det(S T^-1) - p."""
-    w = _whitened(sigma_hat, sigma_true)
-    p = w.shape[0]
+    return _kl(_whitened(sigma_hat, sigma_true))
+
+
+def _kl(w: np.ndarray) -> float:
+    # kl_divergence from the whitened scatter w.
     trace = float(np.trace(w))
     logdet = numeric.log_determinant(numeric.cholesky(w))
-    return trace - logdet - p
+    return trace - logdet - w.shape[0]
 
 
 def evaluate_estimate(ls: LocationScatter, mu0, sigma_true, seconds: float) -> MetricsReport:
-    """All four accuracy metrics of one estimate against the truth."""
+    """All four accuracy metrics of one estimate against the truth. The
+    scatter is whitened once, for both the condition number and the KL."""
+    w = _whitened(ls.sigma, sigma_true)
     return MetricsReport(
         e_mu=location_error(ls, mu0),
-        e_sigma=scatter_cond_error(ls.sigma, sigma_true),
+        e_sigma=_cond_error(w),
         mse_single=scatter_mse_single(ls.sigma, sigma_true),
-        kl=kl_divergence(ls.sigma, sigma_true),
+        kl=_kl(w),
         seconds=seconds,
     )
 
@@ -313,6 +330,15 @@ def _cell_specs(cell: BenchmarkCell, settings: "dict | None"):
     return GenerationSpec(n, p), ContaminationSpec(cell.kind, cell.epsilon, cell.r)
 
 
+def check_cell(cell: BenchmarkCell, settings: "dict | None" = None) -> None:
+    """Raise the error that every replicate of ``cell`` would raise, if any:
+    ``InvalidConfig`` for a setting missing from ``settings`` (default
+    ``SETTINGS``), ``DimensionError`` for an impossible size and
+    ``InvalidContamination`` for a contamination the setting cannot take."""
+    generation, contamination = _cell_specs(cell, settings)
+    _outlier_count(generation.n, generation.p, contamination)
+
+
 def run_replicate(
     cell: BenchmarkCell,
     replicate: int,
@@ -361,7 +387,7 @@ def run_benchmark(
         raise InvalidConfig(f"need at least one replicate, got {replicates}")
     rows: "list[BenchmarkRow]" = []
     for cell in cells:
-        _cell_specs(cell, settings)  # a cell that no replicate can run raises here
+        check_cell(cell, settings)  # a cell that no replicate can run raises here
 
         def one(rep: int, cell=cell):
             try:

@@ -99,12 +99,18 @@ def chi_square_quantile(dof: int, prob: float) -> float:
 
 def check_symmetric(m) -> np.ndarray:
     """Validate and return a finite, exactly symmetric square matrix."""
+    return _checked_symmetric(m, 2)
+
+
+def _checked_symmetric(m, ndim: int) -> np.ndarray:
+    # A square matrix (ndim 2) or a stack of them (ndim 3), checked as a whole.
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        kind = "square matrix" if ndim == 2 else "stack of square matrices"
+        raise DimensionError(f"expected a {kind}, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise NonFiniteValues("matrix contains non-finite entries")
-    if not np.array_equal(a, a.T):
+    if not (a == np.swapaxes(a, -1, -2)).all():
         raise NotSymmetric("matrix is not symmetric")
     return a
 
@@ -117,30 +123,53 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 _EPS = np.finfo(float).eps
 
 
-def _pivot_tolerance(a: np.ndarray) -> float:
-    # Scale-aware singularity threshold: pivots at or below
-    # p * eps * max(diag) are treated as zero.
-    return a.shape[0] * _EPS * float(a.diagonal().max())
-
-
 def cholesky(m) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     Raises NotPositiveDefinite (with the failing pivot index) when any pivot
     falls at or below p * machine epsilon * max diagonal entry.
     """
-    a = check_symmetric(m)
-    lower, info = dpotrf(a, lower=True, clean=True)
-    # info > 0: LAPACK met a non-positive pivot at index info - 1 and left
-    # the pivots before it on the diagonal.
-    done = info - 1 if info > 0 else a.shape[0]
-    small = np.flatnonzero(np.diagonal(lower)[:done] ** 2 <= _pivot_tolerance(a))
-    if small.size or info > 0:
-        idx = int(small[0]) if small.size else done
+    lower, pivot = _factor(check_symmetric(m)[None])
+    if pivot[0] >= 0:
         raise NotPositiveDefinite(
-            f"matrix is not positive definite (pivot {idx})", pivot_index=idx
+            f"matrix is not positive definite (pivot {pivot[0]})", pivot_index=int(pivot[0])
         )
-    return lower
+    return lower[0]
+
+
+def cholesky_stack(m) -> "tuple[np.ndarray, np.ndarray]":
+    """Lower Cholesky factors of a stack of symmetric matrices.
+
+    Returns (lower, pivot). The stack is checked once for finite entries and
+    exact symmetry, and each matrix is factored by its own LAPACK dpotrf
+    call. pivot[b] is -1 when every pivot of matrix b lies above
+    p * machine epsilon * its max diagonal entry, as ``cholesky`` requires;
+    otherwise it is the index of the first one that does not, and lower[b]
+    is no factor.
+    """
+    return _factor(_checked_symmetric(m, 3))
+
+
+def _factor(a: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    # cholesky_stack on a checked stack.
+    count, p = a.shape[:2]
+    # Fortran-ordered factors, as dpotrf returns them and dtrtri takes them.
+    lower = np.empty_like(a).transpose(0, 2, 1)
+    pivot = np.full(count, -1)
+    for b in range(count):
+        lower[b], info = dpotrf(a[b], lower=True, clean=True)
+        if info > 0:
+            # LAPACK met a non-positive pivot at index info - 1 and left the
+            # pivots before it on the diagonal. The diagonal from there on
+            # becomes inf, so the tolerance looks at those pivots only.
+            pivot[b] = info - 1
+            lower[b, range(info - 1, p), range(info - 1, p)] = np.inf
+    tolerance = (p * _EPS) * a.diagonal(axis1=1, axis2=2).max(axis=1, keepdims=True)
+    small = lower.diagonal(axis1=1, axis2=2) ** 2 <= tolerance
+    if small.any():
+        hit = small.any(axis=1)
+        pivot[hit] = small[hit].argmax(axis=1)
+    return lower, pivot
 
 
 def triangular_inverse(lower: np.ndarray) -> np.ndarray:
@@ -160,9 +189,11 @@ def triangular_inverse(lower: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def log_determinant(lower: np.ndarray) -> float:
-    """Log-determinant of the matrix whose lower Cholesky factor is given."""
-    return float(2.0 * np.sum(np.log(np.diagonal(lower))))
+def log_determinant(lower: np.ndarray):
+    """Log-determinant of the matrix whose lower Cholesky factor is given;
+    for a stack of factors, the array of their log-determinants."""
+    logdet = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
+    return float(logdet) if np.ndim(logdet) == 0 else logdet
 
 
 def eigen_symmetric(m) -> EigenDecomposition:

@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths it is used to check:
 the chi-square CDF is an adaptive quadrature of the density, determinants
 come from cofactor expansion, covariances from two-pass summation loops,
 Mahalanobis distances from an explicit matrix inverse or a triangular
-solve, depths from np.median and pairwise differences, and CSV matrices
-from one float() call per cell.
+solve, depths from np.median and pairwise differences, CSV matrices from
+one float() call per cell, and the starts of the C-step baseline from
+LAPACK and BLAS calls on one start at a time.
 """
 
 import math
@@ -13,6 +14,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.optimize import brentq
 from scipy.spatial.distance import cdist
 
@@ -189,3 +192,68 @@ def read_matrix_csv_reference(path: str) -> np.ndarray:
             values.append(value)
         rows.append(values)
     return np.asarray(rows, dtype=float)
+
+
+def _start_factor(sigma):
+    # Lower Cholesky factor, or None where a pivot is at or below
+    # p * machine epsilon * the largest diagonal entry.
+    p = sigma.shape[0]
+    lower, info = dpotrf(sigma, lower=1, clean=1)
+    done = info - 1 if info > 0 else p
+    tolerance = p * np.finfo(float).eps * sigma.diagonal().max()
+    if info > 0 or np.any(np.diagonal(lower)[:done] ** 2 <= tolerance):
+        return None
+    return lower
+
+
+def _start_moments(x, rows_index, div):
+    rows = x[rows_index]
+    mu = rows.mean(axis=0)
+    rows -= mu
+    return mu, rows.T @ rows / div
+
+
+def fastmcd_starts_reference(x, h: int, n_starts: int, seed: int):
+    """The start phase of the FAST-MCD baseline, one start at a time.
+
+    Each start draws its p + 1 rows from default_rng((seed, start)), adds
+    (1e-10 * trace / p) * I to a singular elemental covariance, then takes
+    two C-steps (the second only if the subset moved), with denominator
+    h - 1 and ties going to the lower index. Distances come from one BLAS
+    dtrmm of the centred rows by the dtrtri inverse of the factor.
+
+    Returns (candidates, ridged, dropped): the (logdet, start, subset) of
+    every start that stays non-singular, the starts whose elemental
+    covariance needed the ridge, and the starts a singular covariance
+    stopped. The sums and products are the ones the estimator takes, so
+    the results agree bit for bit; this needs x to fit in one of its
+    distance blocks (256 KiB).
+    """
+    x = np.asarray(x, dtype=float)
+    n, p = x.shape
+    candidates, ridged, dropped = [], [], []
+    for start in range(n_starts):
+        rng = np.random.default_rng((seed, start))
+        mu, sigma = _start_moments(x, np.sort(rng.choice(n, size=p + 1, replace=False)), p)
+        lower = _start_factor(sigma)
+        if lower is None:
+            ridged.append(start)
+            sigma = sigma + 1e-10 * float(np.trace(sigma)) / p * np.eye(p)
+            lower = _start_factor(sigma)
+        subset = None
+        for step in range(2):
+            if lower is None:
+                break
+            z = dtrmm(1.0, dtrtri(lower, lower=1)[0], (x - mu).T, lower=1)
+            d2 = np.einsum("ij,ij->j", z, z)
+            new = np.sort(np.argsort(d2, kind="stable")[:h])
+            if subset is not None and np.array_equal(new, subset):
+                break
+            subset = new
+            mu, sigma = _start_moments(x, subset, h - 1)
+            lower = _start_factor(sigma)
+        if lower is None:
+            dropped.append(start)
+        else:
+            candidates.append((2.0 * np.sum(np.log(np.diagonal(lower))), start, subset))
+    return candidates, ridged, dropped

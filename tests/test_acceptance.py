@@ -288,40 +288,52 @@ def _fit_slope(ps, times):
 def _count_dense_work(monkeypatch):
     """Tally the dense floating-point work of the concentration loop.
 
-    Wraps the four kernels a C-step runs and adds, per call, the flops of
-    the operands actually passed: a triangular product of n samples with a
+    Wraps the kernels a C-step runs and adds, per matrix, the flops of the
+    operands actually passed: a triangular product of n samples with a
     p x p inverse factor (n p^2), the Gram product of an h-row subset
     (2 h p^2), a Cholesky factorization (p^3 / 3) and the inversion of its
-    triangular factor (p^3 / 3). The wrappers replace the module attributes
-    the estimators look up at call time; monkeypatch restores them when the
+    triangular factor (p^3 / 3). The distance and moment kernels, and the
+    stacked factorization, take a stack of states at a time and are counted
+    once per state of the stack; mahalanobis_sq and subset_mean_cov are
+    their stacks of one. The wrappers replace the module attributes the
+    estimators look up at call time; monkeypatch restores them when the
     test ends.
     """
     tally = {"flops": 0.0, "passes": 0}
 
-    def distances(data, ls, *args, **kwargs):
-        tally["flops"] += np.shape(data)[0] * ls.p**2
-        tally["passes"] += 1
-        return original_distances(data, ls, *args, **kwargs)
+    def distances(x, mu, inverses, *args, **kwargs):
+        for _ in range(len(mu)):
+            tally["flops"] += np.shape(x)[0] * np.shape(x)[1] ** 2
+            tally["passes"] += 1
+        return original_distances(x, mu, inverses, *args, **kwargs)
 
-    def subset_moments(data, subset, *args, **kwargs):
-        tally["flops"] += 2.0 * np.size(subset) * np.shape(data)[1] ** 2
-        return original_moments(data, subset, *args, **kwargs)
+    def subset_moments(x, idx, *args, **kwargs):
+        for _ in range(np.shape(idx)[0]):
+            tally["flops"] += 2.0 * np.shape(idx)[1] * np.shape(x)[1] ** 2
+        return original_moments(x, idx, *args, **kwargs)
 
     def factor(m, *args, **kwargs):
         tally["flops"] += np.shape(m)[0] ** 3 / 3.0
         return original_factor(m, *args, **kwargs)
 
+    def factor_stack(m, *args, **kwargs):
+        for _ in range(np.shape(m)[0]):
+            tally["flops"] += np.shape(m)[1] ** 3 / 3.0
+        return original_factor_stack(m, *args, **kwargs)
+
     def invert(lower, *args, **kwargs):
         tally["flops"] += np.shape(lower)[0] ** 3 / 3.0
         return original_invert(lower, *args, **kwargs)
 
-    original_distances = estimators.mahalanobis_sq
-    original_moments = estimators.subset_mean_cov
+    original_distances = estimators._distances
+    original_moments = estimators._moments
     original_factor = numeric.cholesky
+    original_factor_stack = numeric.cholesky_stack
     original_invert = numeric.triangular_inverse
-    monkeypatch.setattr(estimators, "mahalanobis_sq", distances)
-    monkeypatch.setattr(estimators, "subset_mean_cov", subset_moments)
+    monkeypatch.setattr(estimators, "_distances", distances)
+    monkeypatch.setattr(estimators, "_moments", subset_moments)
     monkeypatch.setattr(numeric, "cholesky", factor)
+    monkeypatch.setattr(numeric, "cholesky_stack", factor_stack)
     monkeypatch.setattr(numeric, "triangular_inverse", invert)
     return tally
 

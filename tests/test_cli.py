@@ -342,6 +342,25 @@ class TestBenchmark:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "args,reason",
+        [
+            (["--setting", "0x3"], "need n >= 1"),
+            (["--setting", "A", "--contamination", "cluster", "--epsilon", "0.7"], "epsilon must lie"),
+            (["--setting", "50x1", "--contamination", "point", "--epsilon", "0.1"], "needs p >= 2"),
+            (["--setting", "A", "--contamination", "cluster", "--epsilon", "0.1", "--r", "nan"],
+             "r must be finite"),
+        ],
+    )
+    def test_grid_that_cannot_run_is_an_input_error(self, tmp_path, capsys, args, reason):
+        out = tmp_path / "b.csv"
+        assert main(["benchmark", "--output", str(out), "--replicates", "1", *args]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and reason in err
+        assert "replicates" not in err  # no replicate ran
+        assert not out.exists()
+
+
 class TestPca:
     def test_rank_deficient_truth_gives_zero_od(self, tmp_path):
         # Data in a 2-d subspace of R^3: with K=2 every OD is zero.

@@ -429,6 +429,27 @@ class TestThreadCount:
         assert not helper.is_alive(), f"the {kernel} path did not return within 10 s"
         assert [str(exc) for exc in outcome] == ["second call"]
 
+    def test_no_block_is_handed_out_after_a_failure(self, rng, monkeypatch, workers_at_any_size):
+        # 46 projection blocks of two medians each; the second median call
+        # raises. Only the blocks already in flight may finish, where all
+        # 92 calls ran before.
+        original, calls, lock = depth.numeric.row_medians, [], threading.Lock()
+
+        def failing(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                if len(calls) == 2:
+                    raise MemoryError("second call")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(depth.numeric, "row_medians", failing)
+        x = rng.standard_normal((300, 5))
+        dirs = sample_directions(5, 5000, seed=0)
+        assert -(-dirs.k // depth._projection_rows(300, 5)) == 46
+        with pytest.raises(MemoryError, match="second call"):
+            projection_depth(x, dirs, 2)
+        assert len(calls) <= 10
+
     @pytest.mark.parametrize("threads", [2, 3])
     def test_memory_bounded_per_worker(self, rng, pools, workers_at_any_size, threads):
         # Each worker holds two blocks, so the single-thread bounds of

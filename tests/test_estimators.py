@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from fdb import numeric
+from fdb import estimators, numeric
 from fdb.depth import _BLOCK_BYTES
 from fdb.errors import (
     DegenerateData,
@@ -33,6 +33,7 @@ from fdb.estimators import (
 )
 from fdb.numeric import chi_square_quantile, cholesky, log_determinant, symmetrize
 from oracles import (
+    fastmcd_starts_reference,
     mahalanobis_sq_inverse,
     mahalanobis_sq_solve,
     random_spd,
@@ -89,6 +90,13 @@ class TestSubsetMeanCov:
         assert np.max(np.abs(ls.mu - mu)) <= 1e-12
         assert np.max(np.abs(ls.sigma - cov)) <= 1e-12
 
+    def test_subset_indices_follow_numpy_indexing(self, rng):
+        # A negative index counts from the end; one out of range raises.
+        x = rng.standard_normal((10, 2))
+        assert np.array_equal(subset_mean_cov(x, [-1, 0, 1]).sigma, subset_mean_cov(x, [9, 0, 1]).sigma)
+        with pytest.raises(IndexError):
+            subset_mean_cov(x, [0, 1, 10])
+
     def test_unknown_denominator_is_invalid_config(self):
         with pytest.raises(InvalidConfig):
             subset_mean_cov(CROSS, [0, 1, 2, 3], "n")
@@ -122,6 +130,25 @@ class TestSubsetMeanCov:
         for denominator in ("h", "h-1"):
             sigma = subset_mean_cov(x, subset, denominator).sigma
             assert np.array_equal(sigma, sigma.T)
+
+
+    def test_asymmetric_stacked_product_is_mirrored(self, rng, monkeypatch):
+        # Where a build's stacked product is not exactly symmetric, its lower
+        # triangle is mirrored into the upper one before it is factored.
+        x = rng.standard_normal((30, 4))
+        subset = np.sort(rng.choice(30, size=12, replace=False))
+        exact = subset_mean_cov(x, subset)
+        original = np.matmul
+
+        def skewed(a, b, **kwargs):
+            product = original(a, b, **kwargs)
+            product[:, 0, 1] += 1.0
+            return product
+
+        monkeypatch.setattr(np, "matmul", skewed)
+        got = subset_mean_cov(x, subset)
+        assert np.array_equal(got.sigma, exact.sigma)
+        assert np.array_equal(got.lower, exact.lower)
 
 
 class TestMahalanobisSq:
@@ -207,15 +234,21 @@ class TestMahalanobisSq:
 
 @pytest.fixture
 def cholesky_calls(monkeypatch):
-    """Matrices passed to numeric.cholesky, in call order."""
+    """Matrices passed to numeric.cholesky or, one by one, to
+    numeric.cholesky_stack, in call order."""
     calls = []
-    original = numeric.cholesky
+    original, original_stack = numeric.cholesky, numeric.cholesky_stack
 
     def counting(m):
         calls.append(m)
         return original(m)
 
+    def counting_stack(m):
+        calls.extend(m)
+        return original_stack(m)
+
     monkeypatch.setattr(numeric, "cholesky", counting)
+    monkeypatch.setattr(numeric, "cholesky_stack", counting_stack)
     return calls
 
 
@@ -346,6 +379,15 @@ class TestCStep:
         x = rng.standard_normal((10, 3))
         with pytest.raises(InvalidSubsetSize):
             c_step(x, full_sample_state(x), 3)
+
+
+class TestNearestRows:
+    @pytest.mark.parametrize("h", [1, 17, 40])
+    def test_ties_go_to_the_lower_index(self, rng, h):
+        # Five distinct values over 40 columns: every cut falls in a tie.
+        d2 = rng.integers(0, 5, size=(6, 40)).astype(float)
+        expected = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :h], axis=1)
+        assert np.array_equal(estimators._nearest(d2, h), expected)
 
 
 class TestIterateCSteps:
@@ -604,6 +646,35 @@ class TestFastMcdBaseline:
         x[:250] = x[0]
         with pytest.raises(DegenerateData) as exc:
             fastmcd_baseline(x, h=225, n_starts=20, seed=0)
+        assert exc.value.stage == "subset"
+
+    # A stack of one start, a stack of 7 that the last stack does not fill,
+    # and the default, which takes all 60 starts at once.
+    @pytest.mark.parametrize("stack", [1, 7, None])
+    def test_every_start_matches_one_at_a_time(self, monkeypatch, stack):
+        # 20 of 30 rows lie on a line, so an elemental start drawn from them
+        # needs the ridge and then ends in a singular h-subset; five copies
+        # of one row give ridge-repaired starts that survive.
+        x = np.random.default_rng(0).standard_normal((30, 2))
+        x[:20, 1] = 0.0
+        x[20:25] = [3.0, 3.0]
+        h, n_starts, seed = 20, 60, 3
+        if stack is not None:
+            monkeypatch.setattr(estimators, "_STACK_BYTES", stack * 8 * x.size)
+        expected, ridged, dropped = fastmcd_starts_reference(x, h, n_starts, seed)
+        assert set(ridged) - set(dropped), "no ridge-repaired start survives"
+        assert set(dropped) - set(ridged), "no start ends in a singular h-subset"
+        got = estimators._elemental_starts(x, h, n_starts, seed)
+        assert [(logdet, s) for logdet, s, _ in got] == [(logdet, s) for logdet, s, _ in expected]
+        for (_, _, subset), (_, _, reference) in zip(got, expected):
+            assert np.array_equal(subset, reference)
+
+    def test_overflowing_scatter_is_tagged(self, rng):
+        # Every elemental covariance of data scaled by 1e160 overflows.
+        x = rng.standard_normal((60, 3)) * 1e160
+        with pytest.raises(NonFiniteValues) as exc, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fastmcd_baseline(x, 45, n_starts=20, seed=1)
         assert exc.value.stage == "subset"
 
     def test_no_start_is_invalid_config(self, rng):

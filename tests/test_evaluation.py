@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fdb import evaluation
 from fdb.errors import DimensionError, InvalidConfig, InvalidContamination, SingularTransform
 from fdb.estimators import LocationScatter
 from fdb.evaluation import (
@@ -13,6 +14,7 @@ from fdb.evaluation import (
     back_transform,
     build_g,
     contaminate,
+    evaluate_estimate,
     export_benchmark_csv,
     generate_clean,
     kl_divergence,
@@ -115,6 +117,11 @@ class TestContaminate:
         with pytest.raises(InvalidContamination):
             ContaminationSpec("speckle", 0.1)
 
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+    def test_non_finite_r_rejected(self, r):
+        with pytest.raises(InvalidContamination, match="r must be finite"):
+            ContaminationSpec("cluster", 0.1, r)
+
 
 class TestBackTransform:
     def test_identity(self, rng):
@@ -193,6 +200,22 @@ class TestMetrics:
             a, b = random_spd(rng, p), random_spd(rng, p)
             assert kl_divergence(a, b) > 0.0
             assert kl_divergence(b, b) == pytest.approx(0.0, abs=1e-10)
+
+    def test_evaluate_estimate_whitens_once(self, rng, monkeypatch):
+        ls = LocationScatter(rng.standard_normal(5), random_spd(rng, 5))
+        truth = random_spd(rng, 5)
+        original, whitened = evaluation._whitened, []
+
+        def counting(sigma_hat, sigma_true):
+            whitened.append(None)
+            return original(sigma_hat, sigma_true)
+
+        monkeypatch.setattr(evaluation, "_whitened", counting)
+        metrics = evaluate_estimate(ls, np.zeros(5), truth, 0.5)
+        assert len(whitened) == 1
+        # The same bits as the two metrics computed on their own.
+        assert metrics.e_sigma == scatter_cond_error(ls.sigma, truth)
+        assert metrics.kl == kl_divergence(ls.sigma, truth)
 
 
 class TestRunBenchmark:

@@ -5,6 +5,7 @@ import pytest
 
 from fdb.errors import (
     ConvergenceFailure,
+    DimensionError,
     DomainError,
     EmptyInput,
     NonFiniteValues,
@@ -14,6 +15,7 @@ from fdb.errors import (
 from fdb.numeric import (
     chi_square_quantile,
     cholesky,
+    cholesky_stack,
     condition_number,
     eigen_symmetric,
     log_determinant,
@@ -207,6 +209,45 @@ class TestCholesky:
         with pytest.raises(NotSymmetric) as exc:
             routine([[1.0, 0.1], [0.2, 1.0]])
         assert isinstance(exc.value, ValueError)
+
+
+class TestCholeskyStack:
+    def test_matches_cholesky_per_matrix(self, rng):
+        # Two SPD matrices, one whose pivot 1 is at or below the tolerance
+        # before LAPACK stops at pivot 2, and one that LAPACK stops at 3.
+        stack = np.stack([
+            random_spd(rng, 4),
+            np.diag([1.0, 1e-20, -1.0, 1.0]),
+            random_spd(rng, 4),
+            np.diag([1.0, 1.0, 1.0, -1.0]),
+        ])
+        lower, pivot = cholesky_stack(stack)
+        for b, m in enumerate(stack):
+            try:
+                expected = cholesky(m)
+            except NotPositiveDefinite as exc:
+                assert pivot[b] == exc.pivot_index
+            else:
+                assert pivot[b] == -1
+                assert np.array_equal(lower[b], expected)
+        assert list(pivot) == [-1, 1, -1, 3]
+
+    def test_checks_the_whole_stack(self, rng):
+        stack = np.stack([random_spd(rng, 3) for _ in range(3)])
+        bad = stack.copy()
+        bad[2, 0, 1] = np.nan
+        with pytest.raises(NonFiniteValues):
+            cholesky_stack(bad)
+        bad = stack.copy()
+        bad[1, 0, 1] += 1e-9
+        with pytest.raises(NotSymmetric):
+            cholesky_stack(bad)
+        with pytest.raises(DimensionError):
+            cholesky_stack(stack[0])
+
+    def test_empty_stack(self):
+        lower, pivot = cholesky_stack(np.empty((0, 3, 3)))
+        assert lower.shape == (0, 3, 3) and pivot.shape == (0,)
 
 
 class TestTriangularInverse:
