@@ -189,15 +189,10 @@ def detect_outliers(data, ls: LocationScatter, rule: str = "chi2:0.975", labels=
         m = value
         if m > n:
             raise InvalidRule(f"top count {m} exceeds the sample count {n}")
-        order = np.argsort(-distances, kind="stable")
         flags = np.zeros(n, dtype=bool)
-        flags[order[:m]] = True
-        if m == 0:
-            cutoff = float(distances.max())
-        elif m == n:
-            cutoff = -1.0
-        else:
-            cutoff = float(distances[order[m]])
+        flags[numeric.smallest(-distances, m)] = True
+        # The largest unflagged distance; -1 when every sample is flagged.
+        cutoff = float(distances[~flags].max()) if m < n else -1.0
     auc = auc_score(distances, labels) if labels is not None else None
     return DetectionResult(distances, flags, cutoff, auc)
 

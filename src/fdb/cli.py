@@ -21,8 +21,8 @@ import tempfile
 import numpy as np
 
 from . import applications, evaluation
-from .errors import FdbError
-from .estimators import EstimatorConfig, fastmcd_baseline, fdb_estimate
+from .errors import FdbError, InvalidConfig
+from .estimators import fdb_estimate  # noqa: F401 (perfbench's tracer test wraps this binding)
 from .depth import default_direction_count, l2_depth, projection_depth, sample_directions
 
 EXIT_OK = 0
@@ -235,16 +235,19 @@ def _parse_k(value: "str | None") -> "int | None":
     return k
 
 
+def _items(value: str) -> "list[str]":
+    """The items of the comma list ``value``, stripped; blank items are skipped."""
+    return [token.strip() for token in value.split(",") if token.strip()]
+
+
 def _parse_floats(flag: str, value: str) -> "list[float]":
-    """The numbers of the comma list ``value`` given to ``flag``; blank items
-    are skipped."""
+    """The numbers of the comma list ``value`` given to ``flag``."""
     numbers = []
-    for token in value.split(","):
-        if token.strip():
-            try:
-                numbers.append(float(token))
-            except ValueError:
-                raise InputError(f"{flag} must list numbers, got {token.strip()!r}") from None
+    for token in _items(value):
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            raise InputError(f"{flag} must list numbers, got {token!r}") from None
     return numbers
 
 
@@ -252,15 +255,16 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _run_estimator(x, method, alpha, k, seed, reweight, starts, threads):
-    if method == "fastmcd":
-        h = int(math.floor(alpha * x.shape[0]))
-        return fastmcd_baseline(x, h=h, n_starts=starts, seed=seed, reweight_estimate=reweight)
-    depth_kind = "projection" if method == "fdb-pro" else "l2"
-    config = EstimatorConfig(
-        alpha=alpha, depth=depth_kind, k=k, seed=seed, reweight=reweight, threads=threads
+def _setup(args):
+    """The input matrix, thread count and direction count of estimate, pca
+    and detect, read and checked in that order."""
+    return read_matrix_csv(args.input), resolve_threads(args.threads), _parse_k(args.k)
+
+
+def _estimate(args, x, threads, k):
+    return evaluation.run_estimator(
+        x, args.method, args.alpha, k, args.seed, args.reweight, args.starts, threads
     )
-    return fdb_estimate(x, config)
 
 
 def _estimate_document(report, args, x, k, threads):
@@ -289,12 +293,8 @@ def _estimate_document(report, args, x, k, threads):
 
 
 def cmd_estimate(args) -> int:
-    x = read_matrix_csv(args.input)
-    threads = resolve_threads(args.threads)
-    k = _parse_k(args.k)
-    report = _run_estimator(
-        x, args.method, args.alpha, k, args.seed, args.reweight, args.starts, threads
-    )
+    x, threads, k = _setup(args)
+    report = _estimate(args, x, threads, k)
     atomic_write_text(args.output, _json_dumps(_estimate_document(report, args, x, k, threads)))
     return EXIT_OK
 
@@ -302,57 +302,32 @@ def cmd_estimate(args) -> int:
 def cmd_benchmark(args) -> int:
     threads = resolve_threads(args.threads)
     settings = dict(evaluation.SETTINGS)
-    names = []
-    for token in args.setting.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token not in settings:
-            if "x" in token:
-                try:
-                    n_str, p_str = token.split("x")
-                    settings[token] = (int(n_str), int(p_str))
-                except ValueError:
-                    raise InputError(
-                        f"setting must be one of {sorted(evaluation.SETTINGS)} or 'NxP', got {token!r}"
-                    ) from None
-            else:
-                raise InputError(
-                    f"setting must be one of {sorted(evaluation.SETTINGS)} or 'NxP', got {token!r}"
-                )
-        names.append(token)
-    kinds = [t.strip() for t in args.contamination.split(",") if t.strip()]
-    epsilons = _parse_floats("--epsilon", args.epsilon)
-    rs = _parse_floats("--r", args.r)
-    methods = [t.strip() for t in args.methods.split(",") if t.strip()]
-    for method in methods:
-        if method not in evaluation.METHODS:
-            raise InputError(f"unknown method {method!r}")
-    for kind in kinds:
-        if kind not in evaluation.CONTAMINATION_KINDS:
-            raise InputError(f"unknown contamination kind {kind!r}")
-
-    cells = []
-    seen = set()
+    names = _items(args.setting)
     for name in names:
-        for kind in kinds:
-            for eps in epsilons:
-                for r in rs:
-                    for method in methods:
-                        cell = evaluation.BenchmarkCell(name, kind, eps, r, method).normalized()
-                        if cell not in seen:
-                            seen.add(cell)
-                            cells.append(cell)
-    for cell in cells:
-        try:
-            evaluation.check_cell(cell, settings)
-        except FdbError as exc:
-            raise InputError(
-                f"cell {cell.setting}/{cell.kind}/eps={cell.epsilon:g}/r={cell.r:g} cannot run: {exc}"
-            ) from None
+        if name not in settings:
+            try:
+                n, p = name.split("x")
+                settings[name] = (int(n), int(p))
+            except ValueError:
+                raise InputError(
+                    f"setting must be one of {sorted(evaluation.SETTINGS)} or 'NxP', got {name!r}"
+                ) from None
+    grid = itertools.product(
+        names,
+        _items(args.contamination),
+        _parse_floats("--epsilon", args.epsilon),
+        _parse_floats("--r", args.r),
+        _items(args.methods),
+    )
+    cells = [evaluation.BenchmarkCell(*values) for values in grid]
+    try:
+        evaluation.check_grid(cells, args.replicates, args.alpha, settings)
+    except FdbError as exc:
+        raise InputError(str(exc)) from None
 
     rows = evaluation.run_benchmark(
-        cells,
+        # The distinct cells, in grid order.
+        list(dict.fromkeys(cell.normalized() for cell in cells)),
         replicates=args.replicates,
         seed=args.seed,
         alpha=args.alpha,
@@ -372,12 +347,8 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    x = read_matrix_csv(args.input)
-    threads = resolve_threads(args.threads)
-    k = _parse_k(args.k)
-    report = _run_estimator(
-        x, args.method, args.alpha, k, args.seed, args.reweight, args.starts, threads
-    )
+    x, threads, k = _setup(args)
+    report = _estimate(args, x, threads, k)
     model = applications.robust_pca(x, report.estimate, args.components)
     diagnostics = applications.pca_diagnostics(x, model)
     detection = applications.detect_outliers(x, report.estimate, rule="chi2:0.975")
@@ -403,13 +374,9 @@ def cmd_pca(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    x = read_matrix_csv(args.input)
-    threads = resolve_threads(args.threads)
-    k = _parse_k(args.k)
+    x, threads, k = _setup(args)
     labels = read_labels_csv(args.labels, x.shape[0]) if args.labels else None
-    report = _run_estimator(
-        x, args.method, args.alpha, k, args.seed, args.reweight, args.starts, threads
-    )
+    report = _estimate(args, x, threads, k)
     result = applications.detect_outliers(x, report.estimate, rule=args.rule, labels=labels)
 
     lines = ["index,distance,flag"]
@@ -450,7 +417,7 @@ def cmd_depth(args) -> int:
 def _add_estimator_flags(parser):
     parser.add_argument(
         "--method",
-        choices=["fdb-pro", "fdb-l2", "fastmcd"],
+        choices=evaluation.METHODS,
         default="fdb-pro",
         help="estimator to run (default fdb-pro)",
     )
@@ -532,7 +499,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, InvalidConfig) as exc:
         print(f"fdb: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -518,10 +518,12 @@ def deepest_subset(depths, h: int) -> np.ndarray:
     """Indices (ascending) of the h largest depth values.
 
     Ties at the boundary are broken in favour of the smaller original index.
+    A NaN depth cannot be ranked and raises ``NonFiniteValues``.
     """
     d = np.asarray(depths, dtype=float).ravel()
     n = d.size
     if h > n or h < 1:
         raise InvalidSubsetSize(f"subset size {h} not in [1, {n}]")
-    order = np.argsort(-d, kind="stable")
-    return np.sort(order[:h])
+    if np.isnan(d).any():
+        raise NonFiniteValues("depth values contain NaN")
+    return numeric.smallest(-d, h)

@@ -211,13 +211,11 @@ def _singular(pivot: int) -> SingularCovariance:
     )
 
 
-def subset_mean_cov(data, subset, denominator: str = "h-1", ridge: bool = False) -> LocationScatter:
+def subset_mean_cov(data, subset, denominator: str = "h-1") -> LocationScatter:
     """Mean and covariance of the rows selected by ``subset``.
 
-    ``denominator`` is the literal divisor convention, "h" or "h-1". With
-    ``ridge`` enabled a singular covariance is repaired by adding
-    (1e-10 * trace / p) * I before failing; this is meant for elemental
-    starts only, since it perturbs the determinant objective.
+    ``denominator`` is the literal divisor convention, "h" or "h-1". A
+    singular covariance raises ``SingularCovariance``.
 
     Only the selected rows are read, and they are not scanned: a NaN or inf
     among them makes sigma non-finite, which its Cholesky factor rejects.
@@ -234,16 +232,9 @@ def subset_mean_cov(data, subset, denominator: str = "h-1", ridge: bool = False)
         raise InvalidSubsetSize(f"subset of size {h} is too small for denominator {denominator}")
     mu, sigma = _moments(x, idx[None], div)
     lower, pivot = _factor_moments(sigma)
-    if pivot[0] < 0:
-        return LocationScatter._factored(mu[0], sigma[0], lower[0])
-    if not ridge:
+    if pivot[0] >= 0:
         raise _singular(pivot[0])
-    try:
-        return LocationScatter._factored(mu[0], *_ridged(sigma[0]))
-    except NotPositiveDefinite as exc:
-        raise SingularCovariance(
-            f"subset covariance is singular even after ridge repair ({exc})"
-        ) from None
+    return LocationScatter._factored(mu[0], sigma[0], lower[0])
 
 
 def _distances(x: np.ndarray, mu, inverses) -> np.ndarray:
@@ -289,19 +280,6 @@ def mahalanobis_sq(data, ls: LocationScatter) -> np.ndarray:
     return _distances(x, [ls.mu], [ls.lower_inverse])[0]
 
 
-def _nearest(d2: np.ndarray, h: int) -> np.ndarray:
-    # The h smallest of each row of d2 (B, n), ties going to the lower
-    # index, as increasing indices (B, h): the first h of a stable argsort,
-    # sorted. A partition finds each row's h-th smallest value t; the rows
-    # below t are taken, and the lowest-indexed ones equal to t fill up.
-    t = np.partition(d2, h - 1, axis=1)[:, h - 1 : h]
-    below = d2 < t
-    tied = d2 == t
-    fill = h - below.sum(axis=1, keepdims=True)
-    taken = below | (tied & (np.cumsum(tied, axis=1) <= fill))
-    return np.nonzero(taken)[1].reshape(len(d2), h)
-
-
 def _concentrate(x: np.ndarray, mu, sigma, lower, h: int, max_iter: int, work=None):
     # C-steps on a stack of B states, mu (B, p) with sigma and its factor
     # lower (B, p, p), which are updated in place. Each state is stepped
@@ -322,7 +300,7 @@ def _concentrate(x: np.ndarray, mu, sigma, lower, h: int, max_iter: int, work=No
         if not live.size:
             break
         inverses = [numeric.triangular_inverse(factor) for factor in lower[live]]
-        new = _nearest(_distances(x, mu[live], inverses), h)
+        new = numeric.smallest(_distances(x, mu[live], inverses), h)
         if step:
             moved = (new != subsets[live]).any(axis=1)
             live, new = live[moved], new[moved]

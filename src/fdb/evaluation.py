@@ -193,10 +193,8 @@ def oracle_ellipsoid_subset(y, alpha: float) -> np.ndarray:
     probability alpha, whose squared radius is chi2_{p, alpha}.
     """
     y = as_data_matrix(y)
-    n = y.shape[0]
-    h = int(math.floor(alpha * n))
-    d2 = np.einsum("ij,ij->i", y, y)
-    return np.sort(np.argsort(d2, kind="stable")[:h])
+    h = int(math.floor(alpha * y.shape[0]))
+    return numeric.smallest(np.einsum("ij,ij->i", y, y), h)
 
 
 def location_error(ls: LocationScatter, mu0) -> float:
@@ -307,16 +305,26 @@ def _replicate_seeds(seed: int, replicate: int) -> "tuple[int, int, int, int]":
     return tuple(int(s.generate_state(1)[0]) for s in root.spawn(4))
 
 
-def _run_method(x, method: str, alpha: float, seed: int):
-    # run_benchmark spends its threads on replicates, so every estimate runs
-    # its depth kernel on one thread.
-    n = x.shape[0]
-    if method in ("fdb-pro", "fdb-l2"):
-        depth = "projection" if method == "fdb-pro" else "l2"
-        return fdb_estimate(x, EstimatorConfig(alpha=alpha, depth=depth, seed=seed, threads=1))
+def run_estimator(
+    x, method: str, alpha: float = 0.75, k=None, seed: int = 0, reweight: bool = True,
+    n_starts: int = 500, threads=None,
+):
+    """The ``EstimationReport`` of the method named ``method`` (one of
+    ``METHODS``) on ``x``: ``fdb_estimate`` with projection or L2 depth, or
+    ``fastmcd_baseline`` with h = floor(alpha * n) and ``n_starts`` starts.
+    ``alpha`` must lie in [0.5, 1] for every method, as ``EstimatorConfig``
+    requires; ``k`` and ``threads`` apply to the depth methods only.
+    """
+    if method not in METHODS:
+        raise InvalidConfig(f"unknown method {method!r}")
+    depth = "l2" if method == "fdb-l2" else "projection"
+    config = EstimatorConfig(
+        alpha=alpha, depth=depth, k=k, seed=seed, reweight=reweight, threads=threads
+    )
     if method == "fastmcd":
-        return fastmcd_baseline(x, h=int(math.floor(alpha * n)), seed=seed)
-    raise InvalidConfig(f"unknown method {method!r}")
+        h = int(math.floor(alpha * len(x)))
+        return fastmcd_baseline(x, h, n_starts=n_starts, seed=seed, reweight_estimate=reweight)
+    return fdb_estimate(x, config)
 
 
 def _cell_specs(cell: BenchmarkCell, settings: "dict | None"):
@@ -330,13 +338,37 @@ def _cell_specs(cell: BenchmarkCell, settings: "dict | None"):
     return GenerationSpec(n, p), ContaminationSpec(cell.kind, cell.epsilon, cell.r)
 
 
-def check_cell(cell: BenchmarkCell, settings: "dict | None" = None) -> None:
-    """Raise the error that every replicate of ``cell`` would raise, if any:
-    ``InvalidConfig`` for a setting missing from ``settings`` (default
-    ``SETTINGS``), ``DimensionError`` for an impossible size and
-    ``InvalidContamination`` for a contamination the setting cannot take."""
-    generation, contamination = _cell_specs(cell, settings)
-    _outlier_count(generation.n, generation.p, contamination)
+def check_grid(
+    cells, replicates: int, alpha: "float | None" = None, settings: "dict | None" = None
+) -> None:
+    """Raise the error that would stop ``run_benchmark`` on this grid, if any:
+    ``InvalidConfig`` for an empty grid, fewer than one replicate, an alpha
+    outside [0.5, 1], an unknown method or a setting missing from
+    ``settings`` (default ``SETTINGS``); ``InvalidContamination`` for an
+    unknown kind or a contamination the setting cannot take; and
+    ``DimensionError`` for an impossible size. A cell's error names the cell.
+    """
+    if not cells:
+        raise InvalidConfig("benchmark grid is empty")
+    if replicates < 1:
+        raise InvalidConfig(f"need at least one replicate, got {replicates}")
+    if alpha is not None:
+        EstimatorConfig(alpha=alpha)  # the estimators' own alpha rule
+    for cell in cells:
+        try:
+            if cell.method not in METHODS:
+                raise InvalidConfig(f"unknown method {cell.method!r}")
+            # Checked before normalizing, which turns any kind at epsilon 0
+            # into "none".
+            if cell.kind not in CONTAMINATION_KINDS:
+                raise InvalidContamination(f"unknown contamination kind {cell.kind!r}")
+            generation, contamination = _cell_specs(cell.normalized(), settings)
+            _outlier_count(generation.n, generation.p, contamination)
+        except FdbError as exc:
+            raise type(exc)(
+                f"cell {cell.setting}/{cell.kind}/eps={cell.epsilon:g}/r={cell.r:g}/{cell.method}"
+                f" cannot run: {exc}"
+            ) from None
 
 
 def run_replicate(
@@ -356,7 +388,9 @@ def run_replicate(
     perm = np.random.default_rng(shuffle_seed).permutation(n)
     x = y2[perm] @ g.T
     cell_alpha = alpha if alpha is not None else default_alpha(cell.epsilon)
-    report = _run_method(x, cell.method, cell_alpha, est_seed)
+    # run_benchmark spends its threads on replicates, so every estimate runs
+    # its depth kernel on one thread.
+    report = run_estimator(x, cell.method, cell_alpha, seed=est_seed, threads=1)
     ls_y = back_transform(report.estimate, g)
     return evaluate_estimate(ls_y, np.zeros(p), np.eye(p), report.elapsed_seconds)
 
@@ -373,21 +407,17 @@ def run_benchmark(
     """Average the metrics of every cell over ``replicates`` replicates.
 
     Estimator failures are counted per cell and excluded from the averages;
-    a cell with more than 1% failures is flagged. A cell that no replicate
-    can run raises instead: an unknown setting raises ``InvalidConfig``, an
-    impossible size or contamination the error of its spec. Results are
-    identical for any thread count: replicate streams depend only on (seed,
-    replicate) and aggregation is indexed by replicate.
+    a cell with more than 1% failures is flagged. A grid that cannot run
+    raises instead: ``check_grid`` checks every cell before the first
+    replicate runs. Results are identical for any thread count: replicate
+    streams depend only on (seed, replicate) and aggregation is indexed by
+    replicate.
     """
     threads = checked_thread_count(threads)
-    cells = [cell.normalized() for cell in cells]
-    if not cells:
-        raise InvalidConfig("benchmark grid is empty")
-    if replicates < 1:
-        raise InvalidConfig(f"need at least one replicate, got {replicates}")
+    cells = list(cells)
+    check_grid(cells, replicates, alpha, settings)
     rows: "list[BenchmarkRow]" = []
-    for cell in cells:
-        check_cell(cell, settings)  # a cell that no replicate can run raises here
+    for cell in map(BenchmarkCell.normalized, cells):
 
         def one(rep: int, cell=cell):
             try:

@@ -84,6 +84,24 @@ def mad(values) -> float:
     return float(row_medians(np.abs(v - row_medians(v))))
 
 
+def smallest(values: np.ndarray, h: int) -> np.ndarray:
+    """Indices of the h smallest entries along the last axis, increasing;
+    ties go to the lower index. Equal to the first h of a stable argsort,
+    sorted, for NaN-free values.
+
+    A partition finds each row's h-th smallest value t; the entries below
+    t are taken, and the lowest-indexed ones equal to t fill up.
+    """
+    if h == 0:
+        return np.empty(values.shape[:-1] + (0,), dtype=np.intp)
+    t = np.partition(values, h - 1, axis=-1)[..., h - 1 : h]
+    below = values < t
+    tied = values == t
+    fill = h - below.sum(axis=-1, keepdims=True)
+    taken = below | (tied & (np.cumsum(tied, axis=-1) <= fill))
+    return np.nonzero(taken)[-1].reshape(values.shape[:-1] + (h,))
+
+
 def chi_square_quantile(dof: int, prob: float) -> float:
     """Quantile of the chi-square distribution with ``dof`` degrees of freedom.
 

@@ -133,6 +133,15 @@ class TestInputHandling:
         assert main(["estimate", "--input", str(tmp_path / "nope.csv"),
                      "--output", str(tmp_path / "o.json")]) == 2
 
+    @pytest.mark.parametrize("method", ["fdb-pro", "fastmcd"])
+    def test_alpha_outside_its_rule_is_an_input_error(self, sample_csv, tmp_path, capsys, method):
+        out = tmp_path / "o.json"
+        assert main(["estimate", "--input", sample_csv, "--output", str(out),
+                     "--method", method, "--alpha", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "alpha must lie in [0.5, 1]" in err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self):
         assert main(["estimate"]) == 1          # missing required flags
         assert main(["frobnicate"]) == 1        # unknown command
@@ -350,6 +359,11 @@ class TestBenchmark:
             (["--setting", "50x1", "--contamination", "point", "--epsilon", "0.1"], "needs p >= 2"),
             (["--setting", "A", "--contamination", "cluster", "--epsilon", "0.1", "--r", "nan"],
              "r must be finite"),
+            (["--setting", "A", "--replicates", "0"], "need at least one replicate"),
+            (["--setting", "A", "--epsilon", ","], "benchmark grid is empty"),
+            (["--setting", "A", "--alpha", "2"], "alpha must lie in [0.5, 1]"),
+            (["--setting", "A", "--contamination", "cluster,bogus"], "unknown contamination kind"),
+            (["--setting", "A", "--methods", "fdb-l2,mcd"], "unknown method"),
         ],
     )
     def test_grid_that_cannot_run_is_an_input_error(self, tmp_path, capsys, args, reason):
@@ -446,6 +460,16 @@ class TestDetect:
         got = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
         assert np.allclose([float(g[1]) for g in got], result.distances, rtol=0, atol=0)
         assert [int(g[2]) for g in got] == [int(f) for f in result.flags]
+
+    def test_one_class_labels_are_an_input_error(self, sample_csv, tmp_path, capsys):
+        n = len(np.loadtxt(sample_csv, delimiter=",", encoding="utf-8"))
+        labels_path = write(tmp_path / "l.csv", "0\n" * n)
+        out = tmp_path / "flags.csv"
+        assert main(["detect", "--input", sample_csv, "--output", str(out),
+                     "--labels", labels_path]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "one positive and one negative" in err
+        assert not out.exists()
 
     def test_bad_rule_exit_code(self, cross_csv, tmp_path):
         assert main(["detect", "--input", cross_csv, "--output",

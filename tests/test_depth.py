@@ -192,6 +192,10 @@ class TestDeepestSubset:
         with pytest.raises(InvalidSubsetSize):
             deepest_subset([0.1, 0.2, 0.3], 0)
 
+    def test_nan_depth_is_non_finite_values(self):
+        with pytest.raises(NonFiniteValues):
+            deepest_subset([0.1, np.nan, 0.3], 2)
+
     def test_selected_multiset_permutation_invariant(self, rng):
         depths = rng.uniform(size=50)
         subset = deepest_subset(depths, 20)

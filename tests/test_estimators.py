@@ -103,9 +103,13 @@ class TestSubsetMeanCov:
 
     def test_ridge_repairs_elemental_start(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [5.0, 1.0]])
-        ls = subset_mean_cov(x, [0, 1, 2], "h-1", ridge=True)
-        cholesky(ls.sigma)  # repaired covariance must be SPD
-        assert np.array_equal(ls.sigma, ls.sigma.T)  # the diagonal bump keeps it symmetric
+        _, sigma = estimators._moments(x, np.array([[0, 1, 2]]), 2)
+        with pytest.raises(SingularCovariance):
+            subset_mean_cov(x, [0, 1, 2], "h-1")
+        repaired, lower = estimators._ridged(sigma[0])
+        cholesky(repaired)  # repaired covariance must be SPD
+        assert np.array_equal(repaired, repaired.T)  # the diagonal bump keeps it symmetric
+        assert np.array_equal(lower, cholesky(repaired))
 
     def test_one_h_by_p_copy(self, rng):
         # The selected rows are centred in place and freed before the
@@ -379,15 +383,6 @@ class TestCStep:
         x = rng.standard_normal((10, 3))
         with pytest.raises(InvalidSubsetSize):
             c_step(x, full_sample_state(x), 3)
-
-
-class TestNearestRows:
-    @pytest.mark.parametrize("h", [1, 17, 40])
-    def test_ties_go_to_the_lower_index(self, rng, h):
-        # Five distinct values over 40 columns: every cut falls in a tie.
-        d2 = rng.integers(0, 5, size=(6, 40)).astype(float)
-        expected = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :h], axis=1)
-        assert np.array_equal(estimators._nearest(d2, h), expected)
 
 
 class TestIterateCSteps:

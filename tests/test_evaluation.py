@@ -218,6 +218,10 @@ class TestMetrics:
         assert metrics.kl == kl_divergence(ls.sigma, truth)
 
 
+# A cell that runs, at the smallest setting.
+GOOD_CELL = BenchmarkCell("A", "cluster", 0.1, 5.0, "fdb-l2")
+
+
 class TestRunBenchmark:
     def test_single_replicate_deterministic(self):
         cells = [BenchmarkCell("A", "cluster", 0.1, 5.0, "fdb-l2")]
@@ -257,8 +261,15 @@ class TestRunBenchmark:
             run_benchmark([BenchmarkCell("A", "none", 0.0, 0.0, "fdb-l2")], replicates=0)
 
     def test_unknown_method_is_invalid_config(self):
+        # The good cell comes first: the grid is checked before it runs.
+        done = []
         with pytest.raises(InvalidConfig, match="unknown method 'mcd'"):
-            run_benchmark([BenchmarkCell("A", "none", 0.0, 0.0, "mcd")], replicates=2)
+            run_benchmark(
+                [GOOD_CELL, BenchmarkCell("A", "none", 0.0, 0.0, "mcd")],
+                replicates=2,
+                progress=lambda cell, count, total: done.append(count),
+            )
+        assert done == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
@@ -271,10 +282,11 @@ class TestRunBenchmark:
         ],
     )
     def test_cell_no_replicate_can_run_is_raised(self, threads, setting, kind, epsilon, error):
+        # The good cell comes first: the grid is checked before it runs.
         done = []
         with pytest.raises(error):
             run_benchmark(
-                [BenchmarkCell(setting, kind, epsilon, 5.0, "fdb-l2")],
+                [GOOD_CELL, BenchmarkCell(setting, kind, epsilon, 5.0, "fdb-l2")],
                 replicates=3,
                 seed=1,
                 threads=threads,

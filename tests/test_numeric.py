@@ -22,6 +22,7 @@ from fdb.numeric import (
     mad,
     median,
     row_medians,
+    smallest,
     triangular_inverse,
 )
 from oracles import (
@@ -118,6 +119,19 @@ class TestRowMedians:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         for row, expected in zip(values, want):
             assert np.float64(mad(row)).view(np.int64) == expected.view(np.int64)
+
+
+class TestSmallest:
+    @pytest.mark.parametrize("h", [0, 1, 17, 40])
+    def test_ties_go_to_the_lower_index(self, rng, h):
+        # Five distinct values over 40 columns: every cut falls in a tie.
+        d2 = rng.integers(0, 5, size=(6, 40)).astype(float)
+        expected = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :h], axis=1)
+        got = smallest(d2, h)
+        assert got.shape == (6, h) and np.array_equal(got, expected)
+        for row, want in zip(d2, expected):
+            got = smallest(row, h)
+            assert got.shape == (h,) and np.array_equal(got, want)
 
 
 class TestChiSquareQuantile:
