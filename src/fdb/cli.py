@@ -23,7 +23,13 @@ import numpy as np
 from . import applications, evaluation
 from .errors import FdbError, InvalidConfig
 from .estimators import fdb_estimate  # noqa: F401 (perfbench's tracer test wraps this binding)
-from .depth import default_direction_count, l2_depth, projection_depth, sample_directions
+from .depth import (
+    checked_integer,
+    default_direction_count,
+    l2_depth,
+    projection_depth,
+    sample_directions,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -401,6 +407,7 @@ def cmd_detect(args) -> int:
 def cmd_depth(args) -> int:
     x = read_matrix_csv(args.input)
     threads = resolve_threads(args.threads)
+    checked_integer(args.seed, "seed", 0)  # for L2 depth too, which draws nothing
     n, p = x.shape
     if args.depth == "projection":
         k = _parse_k(args.k) or default_direction_count(p)

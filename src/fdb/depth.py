@@ -99,15 +99,16 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
-def checked_thread_count(threads) -> int:
-    """``threads`` as a positive int; ``InvalidConfig`` for anything else."""
+def checked_integer(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``; ``InvalidConfig`` naming
+    ``name`` for anything else, a float such as 2.0 included."""
     try:
-        count = operator.index(threads)
+        number = operator.index(value)
     except TypeError:
-        raise InvalidConfig(f"thread count must be a positive integer, got {threads!r}") from None
-    if count < 1:
-        raise InvalidConfig(f"thread count must be positive, got {count}")
-    return count
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
+    if number < least:
+        raise InvalidConfig(f"{name} must be at least {least}, got {number}")
+    return number
 
 
 def _worker_count(threads: "int | None") -> int:
@@ -121,7 +122,7 @@ def _worker_count(threads: "int | None") -> int:
             threads = int(env)
         except ValueError:
             raise InvalidConfig(f"FDB_THREADS must be a positive integer, got {env!r}") from None
-    return checked_thread_count(threads)
+    return checked_integer(threads, "thread count", 1)
 
 
 def _share(work, items, blocks: int, threads: "int | None", block_work: int) -> list:
@@ -231,8 +232,8 @@ def sample_directions(p: int, k: int, seed: int) -> DirectionSet:
     """
     if p < 1:
         raise DimensionError(f"dimension must be positive, got {p}")
-    if k < 1:
-        raise InvalidConfig(f"direction count must be positive, got {k}")
+    checked_integer(k, "direction count", 1)
+    checked_integer(seed, "seed", 0)
     return DirectionSet._drawn(p, k, seed)
 
 

@@ -22,7 +22,7 @@ from scipy.linalg.blas import dtrmm
 
 from . import depth as depth_mod
 from . import numeric
-from .depth import as_data_matrix, checked_thread_count, deepest_subset, default_direction_count
+from .depth import as_data_matrix, checked_integer, deepest_subset, default_direction_count
 from .errors import (
     DegenerateData,
     DimensionError,
@@ -102,8 +102,11 @@ class EstimatorConfig:
             raise InvalidConfig(f"alpha must lie in [0.5, 1], got {self.alpha}")
         if self.depth not in ("projection", "l2"):
             raise InvalidConfig(f"unknown depth notion {self.depth!r}")
-        if self.threads is not None:
-            checked_thread_count(self.threads)
+        counts = {"subset size": self.h, "direction count": self.k, "thread count": self.threads}
+        for name, value in counts.items():
+            if value is not None:
+                checked_integer(value, name, 1)
+        checked_integer(self.seed, "seed", 0)
 
     def resolve_h(self, n: int, p: int) -> int:
         h = self.h if self.h is not None else int(math.floor(self.alpha * n))
@@ -125,14 +128,17 @@ class ReweightResult:
 
 @dataclass
 class EstimationReport:
-    """Full record of one estimation run."""
+    """Full record of one estimation run: the ``estimate`` returned (the
+    reweighted one, else the c1-scaled h-subset one), the h-``subset``, the
+    reweighting's 0/1 ``weights`` and ``c0`` (``None`` without it), ``c1``,
+    the seconds of the run and of its subset pursuit, and the ``method``.
+    ``mahalanobis_sq(x, report.estimate)`` gives the distances."""
 
     estimate: LocationScatter
     subset: np.ndarray
     weights: "np.ndarray | None"
     c0: "float | None"
     c1: float
-    distances_sq: np.ndarray
     elapsed_seconds: float
     subset_seconds: float = field(default=0.0)
     method: str = ""
@@ -397,9 +403,8 @@ def _finish_report(
     method: str,
 ) -> EstimationReport:
     # Shared tail of both estimators: h-denominator scatter, c1 scaling,
-    # optional reweighting, final distances and timings. Distances under
-    # c1 * sigma0 are those under sigma0 divided by c1, so the scaled
-    # estimate needs neither a factor nor a pass of its own.
+    # optional reweighting and timings. Distances under c1 * sigma0 are
+    # those under sigma0 divided by c1, so sigma0's pass is the only one.
     with _stage("scatter"):
         raw = subset_mean_cov(data, subset, "h")
     with _stage("scaling"):
@@ -409,24 +414,20 @@ def _finish_report(
             d2 /= c1
         if not np.isfinite(d2).all():
             raise NonFiniteValues("scaled squared distances overflow")
-    # The product keeps sigma0's exact symmetry.
-    estimate = LocationScatter(raw.mu, c1 * raw.sigma)
-    weights = c0 = None
     if do_reweight:
         with _stage("reweight"):
             rw = _reweight(data, d2, raw.p)
         estimate, weights, c0 = rw.estimate, rw.weights, rw.c0
-        with _stage("distances"):
-            d2 = mahalanobis_sq(data, estimate)
-    elapsed = time.perf_counter() - t0
+    else:
+        # The product keeps sigma0's exact symmetry.
+        estimate, weights, c0 = LocationScatter(raw.mu, c1 * raw.sigma), None, None
     return EstimationReport(
         estimate=estimate,
         subset=subset,
         weights=weights,
         c0=c0,
         c1=c1,
-        distances_sq=d2,
-        elapsed_seconds=elapsed,
+        elapsed_seconds=time.perf_counter() - t0,
         subset_seconds=t_subset - t0,
         method=method,
     )
@@ -527,9 +528,9 @@ def fastmcd_baseline(
     t0 = time.perf_counter()
     x = as_data_matrix(data)
     n, p = x.shape
-    _checked_subset_size(h, n, p)
-    if n_starts < 1:
-        raise InvalidConfig(f"need at least one start, got {n_starts}")
+    _checked_subset_size(checked_integer(h, "subset size", 1), n, p)
+    checked_integer(n_starts, "start count", 1)
+    checked_integer(seed, "seed", 0)
 
     with _stage("subset"):
         candidates = _elemental_starts(x, h, n_starts, seed)

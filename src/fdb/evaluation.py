@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import numeric
-from .depth import as_data_matrix, checked_thread_count
+from .depth import as_data_matrix, checked_integer
 from .errors import (
     DimensionError,
     FdbError,
@@ -413,7 +413,8 @@ def run_benchmark(
     streams depend only on (seed, replicate) and aggregation is indexed by
     replicate.
     """
-    threads = checked_thread_count(threads)
+    threads = checked_integer(threads, "thread count", 1)
+    checked_integer(seed, "seed", 0)
     cells = list(cells)
     check_grid(cells, replicates, alpha, settings)
     rows: "list[BenchmarkRow]" = []

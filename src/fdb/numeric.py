@@ -89,16 +89,20 @@ def smallest(values: np.ndarray, h: int) -> np.ndarray:
     ties go to the lower index. Equal to the first h of a stable argsort,
     sorted, for NaN-free values.
 
-    A partition finds each row's h-th smallest value t; the entries below
-    t are taken, and the lowest-indexed ones equal to t fill up.
+    A partition finds each row's h-th smallest value t, and the entries up
+    to t are taken. Only when that takes more than h in some row, because
+    t is tied, are the entries below t taken and the lowest-indexed ones
+    equal to t left to fill up.
     """
     if h == 0:
         return np.empty(values.shape[:-1] + (0,), dtype=np.intp)
     t = np.partition(values, h - 1, axis=-1)[..., h - 1 : h]
-    below = values < t
-    tied = values == t
-    fill = h - below.sum(axis=-1, keepdims=True)
-    taken = below | (tied & (np.cumsum(tied, axis=-1) <= fill))
+    taken = values <= t
+    if np.count_nonzero(taken) > t.size * h:
+        below = values < t
+        tied = values == t
+        fill = h - below.sum(axis=-1, keepdims=True)
+        taken = below | (tied & (np.cumsum(tied, axis=-1) <= fill))
     return np.nonzero(taken)[-1].reshape(values.shape[:-1] + (h,))
 
 

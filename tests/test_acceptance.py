@@ -345,8 +345,8 @@ def test_criterion_8_scaling_separation(monkeypatch):
     # - fastmcd half: the > 1.8 bound applies to the dense work of the
     #   concentration loop, counted per call from the operands the baseline
     #   actually passes (see _count_dense_work) in the timed runs. The count
-    #   spans the whole call; the finishing steps shared with fdb add three
-    #   passes to the 140-170 of the pursuit. The wall slope is not held
+    #   spans the whole call; the finishing steps shared with fdb add one
+    #   pass to the 140-170 of the pursuit. The wall slope is not held
     #   to 1.8: on BLAS-backed numpy the kernels' throughput rises with p at
     #   these sizes (a distance pass's triangular product alone goes from
     #   about 7 to about 27 GFLOP/s over p = 25..200), so even the bare

@@ -154,15 +154,41 @@ class TestInputHandling:
         assert code == 3
         assert "stage" in capsys.readouterr().err
 
-    def test_final_distance_overflow_names_its_stage(self, tmp_path, capsys):
+    def test_estimate_stands_where_detect_overflows(self, tmp_path, capsys):
+        # The row at 1.18e154 gets weight 0, and its distance under the
+        # reweighted estimate overflows: estimate writes the finite estimate,
+        # and only detect, which takes the distances, fails.
         x = np.random.default_rng(0).standard_normal((200, 5))
         x[0, 0] = 1.18e154
         lines = [",".join(repr(float(v)) for v in row) for row in x]
         path = write(tmp_path / "huge.csv", "\n".join(lines) + "\n")
-        code = main(["estimate", "--input", path, "--output", str(tmp_path / "o.json"),
-                     "--method", "fdb-l2"])
-        assert code == 3
-        assert "[stage: distances]" in capsys.readouterr().err
+        out = tmp_path / "o.json"
+        assert main(["estimate", "--input", path, "--output", str(out),
+                     "--method", "fdb-l2"]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["weights"][0] == 0
+        assert np.isfinite(doc["mu"]).all() and np.isfinite(doc["sigma"]).all()
+        assert main(["detect", "--input", path, "--output", str(tmp_path / "f.csv"),
+                     "--method", "fdb-l2"]) == 3
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["estimate", "--method", "fdb-pro"],
+            ["estimate", "--method", "fdb-l2"],
+            ["estimate", "--method", "fastmcd", "--starts", "5"],
+            ["detect", "--method", "fdb-l2"],
+            ["depth"],
+            ["depth", "--depth", "l2"],
+        ],
+    )
+    def test_negative_seed_is_an_input_error(self, sample_csv, tmp_path, capsys, command):
+        out = tmp_path / "o.out"
+        assert main([*command, "--input", sample_csv, "--output", str(out), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "seed must be at least 0, got -1" in err
+        assert not out.exists()
 
 
 def read_both(path):
@@ -339,6 +365,14 @@ class TestBenchmark:
     def test_unknown_setting_rejected(self, tmp_path):
         assert main(["benchmark", "--output", str(tmp_path / "b.csv"),
                      "--setting", "Z"]) == 2
+
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["benchmark", "--output", str(out), "--setting", "32x3",
+                     "--replicates", "1", "--methods", "fdb-l2", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "seed must be at least 0, got -1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag,value,token", [("--epsilon", "abc", "abc"), ("--epsilon", "0.1, x", "x"), ("--r", "x", "x")]

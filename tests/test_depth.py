@@ -54,6 +54,11 @@ class TestSampleDirections:
         with pytest.raises(ValueError):
             sample_directions(3, 0, seed=0)
 
+    @pytest.mark.parametrize("k, seed", [(2.5, 0), (10, -1), (10, 1.0), (10, None)])
+    def test_non_integer_count_or_bad_seed_is_invalid_config(self, k, seed):
+        with pytest.raises(InvalidConfig):
+            sample_directions(3, k, seed)
+
     def test_normalized_in_place(self):
         # Same bits as dividing a copy, with one k x p array alive.
         p, k = 200, 2000

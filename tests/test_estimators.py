@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fdb import estimators, numeric
+from fdb.applications import detect_outliers
 from fdb.depth import _BLOCK_BYTES
 from fdb.errors import (
     DegenerateData,
@@ -286,8 +287,9 @@ class TestFactorOnce:
         fdb_estimate(x, EstimatorConfig(depth=depth, k=200, reweight=do_reweight))
         assert len(cholesky_calls) == factors
 
-    # The raw and reweighted scatters each give one distance pass.
-    @pytest.mark.parametrize("do_reweight, inversions", [(True, 2), (False, 1)])
+    # Only the raw scatter gives a distance pass; the reweighted one is
+    # returned unfactored.
+    @pytest.mark.parametrize("do_reweight, inversions", [(True, 1), (False, 1)])
     def test_fdb_estimate_inverts_each_factor_once(
         self, rng, monkeypatch, do_reweight, inversions
     ):
@@ -302,6 +304,21 @@ class TestFactorOnce:
         x = rng.standard_normal((200, 5))
         fdb_estimate(x, EstimatorConfig(k=200, reweight=do_reweight))
         assert len(calls) == inversions
+
+    @pytest.mark.parametrize("depth", ["projection", "l2"])
+    @pytest.mark.parametrize("do_reweight", [True, False])
+    def test_fdb_estimate_takes_one_distance_pass(self, rng, monkeypatch, depth, do_reweight):
+        states = []
+        original = estimators._distances
+
+        def counting(x, mu, inverses):
+            states.append(len(mu))
+            return original(x, mu, inverses)
+
+        monkeypatch.setattr(estimators, "_distances", counting)
+        x = rng.standard_normal((200, 5))
+        fdb_estimate(x, EstimatorConfig(depth=depth, k=200, reweight=do_reweight))
+        assert states == [1]
 
     def test_iterate_c_steps_factors_each_estimate_once(self, rng, cholesky_calls):
         x = rng.standard_normal((120, 4))
@@ -484,7 +501,6 @@ class TestFdbEstimate:
         assert report.subset.size == 150
         assert report.weights.sum() >= 5 + 2
         assert report.c0 > 0 and report.c1 > 0
-        assert report.distances_sq.shape == (200,)
         assert report.elapsed_seconds >= report.subset_seconds >= 0.0
         assert report.method == "fdb-pro"
 
@@ -512,7 +528,7 @@ class TestFdbEstimate:
     @pytest.mark.parametrize("do_reweight", [True, False])
     def test_tail_matches_direct_passes(self, rng, do_reweight):
         # The tail takes the distances under c1 * sigma0 as the raw ones
-        # divided by c1; they agree with a direct pass to rounding.
+        # divided by c1; the weights and estimate equal a direct pass's.
         x = rng.standard_normal((300, 6))
         x[:40] += 8.0
         config = EstimatorConfig(seed=2, reweight=do_reweight)
@@ -526,9 +542,6 @@ class TestFdbEstimate:
             assert np.array_equal(report.estimate.sigma, direct.estimate.sigma)
         else:
             assert np.array_equal(report.estimate.sigma, scaled.sigma)
-        np.testing.assert_allclose(
-            report.distances_sq, mahalanobis_sq(x, report.estimate), rtol=1e-12
-        )
 
     @pytest.mark.parametrize("do_reweight", [True, False])
     def test_overflowing_scaled_distances_are_tagged(self, do_reweight):
@@ -539,15 +552,18 @@ class TestFdbEstimate:
             fdb_estimate(x[:, None], EstimatorConfig(k=50, reweight=do_reweight))
         assert exc.value.stage == "scaling"
 
-    def test_overflowing_final_distances_are_tagged(self):
+    def test_estimate_stands_where_its_distances_overflow(self):
         # The entry at 1.18e154 keeps its scaled distance finite (about
-        # 1.75e308), but the reweighted scatter is tighter, so the final
-        # distance pass overflows.
+        # 1.75e308) and gets weight 0. The reweighted scatter is tighter, so
+        # that row's distance under the estimate overflows; the estimate
+        # takes no such pass, and only a caller that asks for distances fails.
         x = np.random.default_rng(0).standard_normal((200, 5))
         x[0, 0] = 1.18e154
-        with pytest.raises(NonFiniteValues) as exc:
-            fdb_estimate(x, EstimatorConfig(depth="l2"))
-        assert exc.value.stage == "distances"
+        report = fdb_estimate(x, EstimatorConfig(depth="l2"))
+        assert report.weights[0] == 0
+        assert np.isfinite(report.estimate.mu).all() and np.isfinite(report.estimate.sigma).all()
+        with pytest.raises(NonFiniteValues):
+            detect_outliers(x, report.estimate)
 
     def test_rigid_motion_equivariance_l2(self, rng):
         x = rng.standard_normal((120, 3)) @ np.diag([1.0, 2.0, 0.5])
@@ -591,7 +607,11 @@ class TestFdbEstimate:
 
 class TestEstimatorConfig:
     @pytest.mark.parametrize(
-        "settings", [{"alpha": 2}, {"depth": "halfspace"}, {"threads": 0}, {"threads": 2.5}]
+        "settings",
+        [
+            {"alpha": 2}, {"depth": "halfspace"}, {"threads": 0}, {"threads": 2.5},
+            {"k": 2.5}, {"k": 0}, {"h": 150.0}, {"h": 0}, {"seed": -1}, {"seed": 1.0},
+        ],
     )
     def test_invalid_settings_raise_invalid_config(self, settings):
         with pytest.raises(InvalidConfig) as exc:
@@ -675,6 +695,15 @@ class TestFastMcdBaseline:
     def test_no_start_is_invalid_config(self, rng):
         with pytest.raises(InvalidConfig):
             fastmcd_baseline(rng.standard_normal((30, 2)), h=20, n_starts=0)
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [{"h": 20.0}, {"h": 0}, {"n_starts": 2.5}, {"seed": -1}, {"seed": 1.5}, {"seed": None}],
+    )
+    def test_bad_count_or_seed_is_invalid_config(self, rng, arguments):
+        kwargs = {"h": 20, "n_starts": 5, "seed": 0, **arguments}
+        with pytest.raises(InvalidConfig):
+            fastmcd_baseline(rng.standard_normal((30, 2)), **kwargs)
 
     def test_matches_enumeration_on_small_instance(self):
         x, h = twelve_point_instance()

@@ -254,6 +254,12 @@ class TestRunBenchmark:
         with pytest.raises(InvalidConfig, match="thread count"):
             run_benchmark(cells, replicates=2, seed=3, threads=threads)
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, None])
+    def test_bad_seed_is_invalid_config(self, seed):
+        cells = [BenchmarkCell("A", "cluster", 0.1, 5.0, "fdb-l2")]
+        with pytest.raises(InvalidConfig, match="seed"):
+            run_benchmark(cells, replicates=2, seed=seed)
+
     def test_empty_grid_and_no_replicates_are_invalid_config(self):
         with pytest.raises(InvalidConfig):
             run_benchmark([], replicates=1)

@@ -133,6 +133,17 @@ class TestSmallest:
             got = smallest(row, h)
             assert got.shape == (h,) and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("tied_row", [None, 2])
+    @pytest.mark.parametrize("h", [1, 17, 39, 40])
+    def test_tie_free_rows_beside_a_tied_one(self, rng, tied_row, h):
+        # Distinct values take every row's first h at once; one row of five
+        # distinct values makes the whole stack resolve its ties.
+        d2 = rng.standard_normal((5, 40))
+        if tied_row is not None:
+            d2[tied_row] = rng.integers(0, 5, size=40)
+        expected = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :h], axis=1)
+        assert np.array_equal(smallest(d2, h), expected)
+
 
 class TestChiSquareQuantile:
     def test_dof2_closed_form(self):
