@@ -24,6 +24,7 @@ from . import applications, evaluation
 from .errors import FdbError, InvalidConfig
 from .estimators import fdb_estimate  # noqa: F401 (perfbench's tracer test wraps this binding)
 from .depth import (
+    _worker_count,
     checked_integer,
     default_direction_count,
     l2_depth,
@@ -212,21 +213,18 @@ def resolve_threads(value: "str | None") -> int:
     """Thread count: --threads flag, then FDB_THREADS, then hardware parallelism.
 
     estimate, pca, detect and depth split the depth kernels' blocks over
-    these threads; benchmark runs its replicates on them.
+    these threads; benchmark runs its replicates on them. FDB_THREADS is
+    read and checked by the depth kernels' own rule.
     """
     if value is None or value == "auto":
-        env = os.environ.get("FDB_THREADS", "").strip()
-        if env:
-            value = env
-        else:
-            return os.cpu_count() or 1
+        if os.environ.get("FDB_THREADS", "").strip():
+            return _worker_count(None)
+        return os.cpu_count() or 1
     try:
         threads = int(value)
     except ValueError:
         raise InputError(f"thread count must be an integer or 'auto', got {value!r}") from None
-    if threads < 1:
-        raise InputError(f"thread count must be positive, got {threads}")
-    return threads
+    return checked_integer(threads, "thread count", 1)
 
 
 def _parse_k(value: "str | None") -> "int | None":

@@ -13,6 +13,7 @@ import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -167,74 +168,51 @@ def default_direction_count(p: int) -> int:
     return max(1000, 10 * p)
 
 
-def as_data_matrix(data) -> np.ndarray:
-    """Validate and return an (n, p) float matrix with finite entries."""
+def as_data_matrix(data, name: str = "sample matrix") -> np.ndarray:
+    """Validate and return an (n, p) float matrix with finite entries;
+    ``name`` names it in the errors."""
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or 0 in x.shape:
-        raise DimensionError(f"expected a nonempty 2-d sample matrix, got shape {x.shape}")
+        raise DimensionError(f"expected a nonempty 2-d {name}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise NonFiniteValues("data matrix contains non-finite entries")
+        raise NonFiniteValues(f"{name} contains non-finite entries")
     return x
 
 
+@dataclass(frozen=True)
 class DirectionSet:
-    """A fixed set of k unit projection directions in R^p, reproducible from
-    its seed.
-
-    ``DirectionSet(directions, seed)`` holds an explicit (k, p) array whose
-    rows have Euclidean norm 1. ``sample_directions`` returns a drawn set,
-    which holds only p, k and the seed: ``projection_depth`` draws its
-    directions block by block as it consumes them, and ``directions`` draws
-    the whole (k, p) array on first use and keeps it. Both give the same
-    bits.
-    """
-
-    def __init__(self, directions: np.ndarray, seed: int):
-        self._given = directions
-        self.seed = seed
-        self._shape = directions.shape
-
-    @classmethod
-    def _drawn(cls, p: int, k: int, seed: int) -> "DirectionSet":
-        dirs = cls.__new__(cls)
-        dirs._given, dirs.seed, dirs._shape = None, seed, (k, p)
-        return dirs
-
-    @property
-    def k(self) -> int:
-        return self._shape[0]
-
-    @property
-    def p(self) -> int:
-        return self._shape[1]
-
-    @property
-    def drawn(self) -> bool:
-        """Whether the set is drawn from its seed rather than given."""
-        return self._given is None
-
-    @cached_property
-    def directions(self) -> np.ndarray:
-        if self._given is not None:
-            return self._given
-        return _normalize(np.random.default_rng(self.seed).standard_normal(self._shape))
-
-
-def sample_directions(p: int, k: int, seed: int) -> DirectionSet:
-    """k independent Uniform(sphere) directions in R^p, drawn from ``seed``.
+    """k unit projection directions in R^p, drawn from ``seed``.
 
     Each direction is a standard-normal vector normalized to unit length;
     a draw of norm 0 (a probability-zero event) stays zeros, and its MAD of
-    0 makes ``projection_depth`` skip it. The arguments are checked here,
-    but nothing is drawn: ``projection_depth`` draws the directions as it
-    consumes them, so the k x p set is never held, and ``.directions``
-    draws them all on first use.
+    0 makes ``projection_depth`` skip it. The set holds only p, k and the
+    seed, checked when it is made: ``projection_depth`` draws the
+    directions block by block as it consumes them, so the k x p set is
+    never held, and ``directions`` draws the whole (k, p) array on first
+    use and keeps it. Both give the same bits. Explicit directions go to
+    ``projection_depth`` as a plain (k, p) array instead.
     """
-    if p < 1:
-        raise DimensionError(f"dimension must be positive, got {p}")
-    checked_integer(k, "direction count", 1)
-    checked_integer(seed, "seed", 0)
-    return DirectionSet._drawn(p, k, seed)
+
+    p: int
+    k: int
+    seed: int
+
+    def __post_init__(self):
+        if self.p < 1:
+            raise DimensionError(f"dimension must be positive, got {self.p}")
+        checked_integer(self.k, "direction count", 1)
+        checked_integer(self.seed, "seed", 0)
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        return _normalize(np.random.default_rng(self.seed).standard_normal((self.k, self.p)))
+
+
+def sample_directions(p: int, k: int, seed: int) -> DirectionSet:
+    """k independent Uniform(sphere) directions in R^p, drawn from ``seed``:
+    ``DirectionSet(p, k, seed)``, which checks the arguments but draws
+    nothing until the directions are used."""
+    return DirectionSet(p, k, seed)
 
 
 def _normalize(u: np.ndarray) -> np.ndarray:
@@ -251,21 +229,19 @@ def _normalize(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _direction_blocks(dirs: DirectionSet, rows: int):
+def _direction_blocks(dirs: "DirectionSet | np.ndarray", rows: int):
     """The directions of ``dirs`` in blocks of ``rows``, in index order.
 
-    An explicit set's blocks are views of its array. A drawn set is drawn
-    from one ``np.random.default_rng(seed)`` in index order, in chunks of
-    whole blocks of at most ``_CHUNK_BYTES`` or one block, whichever is
-    larger, so its blocks hold the bits of ``DirectionSet.directions``.
-    Each chunk is drawn and normalized when its first block is asked for,
-    and its blocks are views of it, so a chunk lives until its last block
-    is done.
+    An array's blocks are views of it. A ``DirectionSet`` is drawn from one
+    ``np.random.default_rng(seed)`` in index order, in chunks of whole
+    blocks of at most ``_CHUNK_BYTES`` or one block, whichever is larger,
+    so its blocks hold the bits of ``DirectionSet.directions``. Each chunk
+    is drawn and normalized when its first block is asked for, and its
+    blocks are views of it, so a chunk lives until its last block is done.
     """
-    if not dirs.drawn:
-        u = dirs.directions
-        for start in range(0, dirs.k, rows):
-            yield u[start : start + rows]
+    if not isinstance(dirs, DirectionSet):
+        for start in range(0, len(dirs), rows):
+            yield dirs[start : start + rows]
         return
     k, p = dirs.k, dirs.p
     rng = np.random.default_rng(dirs.seed)
@@ -285,7 +261,9 @@ def _projection_rows(n: int, p: int) -> int:
     return max(_block_rows(n), min(-(-p // 4), _PROJECTION_BLOCK_BYTES // (8 * n)))
 
 
-def projection_depth(data, dirs: DirectionSet, threads: "int | None" = None) -> np.ndarray:
+def projection_depth(
+    data, dirs: "DirectionSet | np.ndarray", threads: "int | None" = None
+) -> np.ndarray:
     """Approximate projection depth of every sample.
 
     For sample x the outlyingness is the maximum over usable directions u of
@@ -293,19 +271,29 @@ def projection_depth(data, dirs: DirectionSet, threads: "int | None" = None) -> 
     Directions with MAD(u'X) = 0 carry no usable scale and are skipped;
     if every direction is unusable the data are degenerate.
 
+    ``dirs`` is a drawn ``DirectionSet`` or an explicit (k, p) array of
+    directions, which is checked here as the data are: a non-empty 2-d
+    array of finite values, as wide as the data. Its rows are used as
+    given, so they should have norm 1; a zero row has zero MAD.
+
     Directions are processed in blocks of ``_projection_rows(n, p)``, so the
     working memory is two blocks of projections per worker thread, plus, for
-    a drawn set, the chunks of directions that the workers' blocks come
-    from, each of at most ``_CHUNK_BYTES`` or one block of directions,
+    a ``DirectionSet``, the chunks of directions that the workers' blocks
+    come from, each of at most ``_CHUNK_BYTES`` or one block of directions,
     whatever k is. ``threads`` workers (``None``: FDB_THREADS, else 1) take
     the blocks in index order, each the next one when it asks; the depths
     are bitwise equal for every count.
     """
     x = as_data_matrix(data)
     n, p = x.shape
-    if dirs.p != p:
-        raise DimensionError(f"directions have dimension {dirs.p}, data has dimension {p}")
-    rows = min(_projection_rows(n, p), dirs.k)
+    if isinstance(dirs, DirectionSet):
+        k, width = dirs.k, dirs.p
+    else:
+        dirs = as_data_matrix(dirs, "direction array")
+        k, width = dirs.shape
+    if width != p:
+        raise DimensionError(f"directions have dimension {width}, data has dimension {p}")
+    rows = min(_projection_rows(n, p), k)
 
     def running_max(take):
         block = take()  # draws a drawn set's first chunk before the buffers
@@ -332,7 +320,7 @@ def projection_depth(data, dirs: DirectionSet, threads: "int | None" = None) -> 
         return outlyingness, usable
 
     blocks = _direction_blocks(dirs, rows)
-    results = _share(running_max, blocks, -(-dirs.k // rows), threads, rows * n * p)
+    results = _share(running_max, blocks, -(-k // rows), threads, rows * n * p)
     if not any(usable for _, usable in results):
         raise DegenerateData("every projection direction has zero MAD")
     # The maximum is exact, so merging the workers' maxima in any order

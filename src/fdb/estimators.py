@@ -13,7 +13,7 @@ import math
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice
 
@@ -140,8 +140,8 @@ class EstimationReport:
     c0: "float | None"
     c1: float
     elapsed_seconds: float
-    subset_seconds: float = field(default=0.0)
-    method: str = ""
+    subset_seconds: float
+    method: str
 
 
 def _checked_subset_size(h: int, n: int, p: int) -> int:

@@ -313,10 +313,12 @@ def run_estimator(
     ``METHODS``) on ``x``: ``fdb_estimate`` with projection or L2 depth, or
     ``fastmcd_baseline`` with h = floor(alpha * n) and ``n_starts`` starts.
     ``alpha`` must lie in [0.5, 1] for every method, as ``EstimatorConfig``
-    requires; ``k`` and ``threads`` apply to the depth methods only.
+    requires, and so must ``n_starts`` be a positive integer, though only
+    fastmcd uses it; ``k`` and ``threads`` apply to the depth methods only.
     """
     if method not in METHODS:
         raise InvalidConfig(f"unknown method {method!r}")
+    checked_integer(n_starts, "start count", 1)
     depth = "l2" if method == "fdb-l2" else "projection"
     config = EstimatorConfig(
         alpha=alpha, depth=depth, k=k, seed=seed, reweight=reweight, threads=threads

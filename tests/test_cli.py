@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from fdb import applications, cli, depth
 from fdb.cli import InputError, main
+from fdb.errors import InvalidConfig
 from fdb.estimators import EstimatorConfig, fdb_estimate
 from oracles import read_matrix_csv_reference
 
@@ -133,13 +134,27 @@ class TestInputHandling:
         assert main(["estimate", "--input", str(tmp_path / "nope.csv"),
                      "--output", str(tmp_path / "o.json")]) == 2
 
-    @pytest.mark.parametrize("method", ["fdb-pro", "fastmcd"])
-    def test_alpha_outside_its_rule_is_an_input_error(self, sample_csv, tmp_path, capsys, method):
+    @pytest.mark.parametrize(
+        "method, flag, value, message",
+        [
+            pytest.param("fdb-pro", "--alpha", "0.3", "alpha must lie in [0.5, 1]", id="fdb-pro"),
+            pytest.param("fastmcd", "--alpha", "0.3", "alpha must lie in [0.5, 1]", id="fastmcd"),
+            *(
+                pytest.param(method, "--starts", value, f"start count must be at least 1, got {value}",
+                             id=f"{method}-starts{value}")
+                for method in ("fdb-pro", "fdb-l2")
+                for value in ("-3", "0")
+            ),
+        ],
+    )
+    def test_value_outside_its_rule_is_an_input_error(
+        self, sample_csv, tmp_path, capsys, method, flag, value, message
+    ):
         out = tmp_path / "o.json"
         assert main(["estimate", "--input", sample_csv, "--output", str(out),
-                     "--method", method, "--alpha", "0.3"]) == 2
+                     "--method", method, flag, value]) == 2
         err = capsys.readouterr().err
-        assert "input error" in err and "alpha must lie in [0.5, 1]" in err
+        assert "input error" in err and message in err
         assert not out.exists()
 
     def test_usage_error_exit_code(self):
@@ -633,8 +648,20 @@ class TestThreadResolution:
 
         with pytest.raises(InputError):
             resolve_threads("many")
-        with pytest.raises(InputError):
+        with pytest.raises(InvalidConfig):
             resolve_threads("0")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5"])
+    @pytest.mark.parametrize("flag", [None, "auto"])
+    def test_invalid_environment_value_gets_the_kernels_error(self, monkeypatch, flag, value):
+        from fdb.cli import resolve_threads
+
+        monkeypatch.setenv("FDB_THREADS", value)
+        with pytest.raises(InvalidConfig) as from_cli:
+            resolve_threads(flag)
+        with pytest.raises(InvalidConfig) as from_kernels:
+            depth._worker_count(None)
+        assert str(from_cli.value) == str(from_kernels.value)
 
 
 class TestThreadedDepth:

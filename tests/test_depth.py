@@ -59,6 +59,15 @@ class TestSampleDirections:
         with pytest.raises(InvalidConfig):
             sample_directions(3, k, seed)
 
+    @pytest.mark.parametrize(
+        "p, k, seed, error",
+        [(0, 10, 0, DimensionError), (3, 2.5, 0, InvalidConfig), (3, 10, -1, InvalidConfig)],
+    )
+    def test_direction_set_checks_as_sample_directions_does(self, p, k, seed, error):
+        for make in (DirectionSet, sample_directions):
+            with pytest.raises(error):
+                make(p, k, seed)
+
     def test_normalized_in_place(self):
         # Same bits as dividing a copy, with one k x p array alive.
         p, k = 200, 2000
@@ -107,13 +116,28 @@ class TestProjectionDepth:
         # Second coordinate is constant for > half the points, so axis-aligned
         # directions can have zero MAD; depth must still be defined.
         data = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 1.0]])
-        dirs = DirectionSet(np.array([[0.0, 1.0], [1.0, 0.0]]), seed=0)
+        dirs = np.array([[0.0, 1.0], [1.0, 0.0]])
         depths = projection_depth(data, dirs)
         assert np.all(depths > 0.0) and np.all(depths <= 1.0)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
             projection_depth(rng.standard_normal((5, 3)), sample_directions(2, 10, seed=0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_direction_array_rejected(self, rng, bad):
+        directions = sample_directions(2, 50, seed=0).directions
+        directions[7, 1] = bad
+        with pytest.raises(NonFiniteValues, match="direction array"):
+            projection_depth(rng.standard_normal((50, 2)), directions)
+
+    @pytest.mark.parametrize(
+        "directions",
+        [np.ones(2), np.ones((1, 2, 2)), np.empty((0, 2)), np.empty((5, 0)), np.ones((5, 3))],
+    )
+    def test_direction_array_of_wrong_shape_rejected(self, rng, directions):
+        with pytest.raises(DimensionError):
+            projection_depth(rng.standard_normal((50, 2)), directions)
 
     def test_non_finite_data_rejected(self, rng):
         data = rng.standard_normal((5, 2))
@@ -262,7 +286,7 @@ class TestDepthKernels:
         directions[[0, 3, *range(7, 14)]] = [1.0, 0.0, 0.0]
         if rows is not None:
             monkeypatch.setattr(depth, "_BLOCK_BYTES", 8 * n * rows)
-        got = projection_depth(x, DirectionSet(directions, seed=0))
+        got = projection_depth(x, directions)
         assert np.array_equal(got, projection_depth_reference(x, directions))
 
     @pytest.mark.parametrize("n,p", [(200, 5), (201, 7), (400, 40)])
@@ -323,10 +347,9 @@ class TestThreadCount:
         directions = sample_directions(p, 1000, seed=p).directions
         rows = depth._projection_rows(n, p)
         directions[rows : rows + 3] = np.eye(p)[0]
-        dirs = DirectionSet(directions, seed=p)
         proj, l2, subsets = {}, {}, {}
         for threads in (1, 2, 3):
-            proj[threads] = projection_depth(x, dirs, threads)
+            proj[threads] = projection_depth(x, directions, threads)
             l2[threads] = l2_depth(x, threads)
             subsets[threads] = [
                 fdb_estimate(x, EstimatorConfig(depth=kind, k=1000, seed=p, threads=threads)).subset
@@ -549,7 +572,7 @@ class TestDirectionStream:
         # no k is a multiple of its block or chunk.
         x = np.random.default_rng(n).standard_normal((n, p))
         drawn = sample_directions(p, k, seed=n)
-        explicit = DirectionSet(sample_directions(p, k, seed=n).directions, seed=n)
+        explicit = sample_directions(p, k, seed=n).directions
         for threads in (1, 2, 3):
             assert np.array_equal(
                 projection_depth(x, drawn, threads), projection_depth(x, explicit, threads)
@@ -559,7 +582,7 @@ class TestDirectionStream:
         sample = depth.sample_directions
 
         def explicit_sample(p, k, seed):
-            return DirectionSet(sample(p, k, seed).directions, seed)
+            return sample(p, k, seed).directions
 
         monkeypatch.setattr(depth, "sample_directions", explicit_sample)
         for threads, c in config.items():
@@ -582,7 +605,7 @@ class TestDirectionStream:
 
         monkeypatch.setattr(depth.numeric, "row_medians", counting)
         drawn = sample_directions(p, k, 0)
-        for dirs in (drawn, DirectionSet(sample_directions(p, k, 0).directions, 0)):
+        for dirs in (drawn, sample_directions(p, k, 0).directions):
             projected.clear()
             projection_depth(x, dirs, threads)
             assert sum(projected) == 2 * k  # a median and a MAD per direction
@@ -607,9 +630,8 @@ class TestDirectionStream:
         assert not directions[[5, 30]].any()
         usable = np.delete(directions, [5, 30], axis=0)
         assert np.max(np.abs(np.linalg.norm(usable, axis=1) - 1.0)) <= 1e-12
-        explicit = DirectionSet(directions, seed=2)
         for threads in (1, 2, 3):
-            assert np.array_equal(projection_depth(x, explicit, threads), got[1])
+            assert np.array_equal(projection_depth(x, directions, threads), got[1])
         assert np.max(np.abs(got[1] - projection_depth_reference(x, usable))) <= 1e-14
 
     @pytest.mark.parametrize("threads", [1, 3])

@@ -222,6 +222,15 @@ class TestMetrics:
 GOOD_CELL = BenchmarkCell("A", "cluster", 0.1, 5.0, "fdb-l2")
 
 
+class TestRunEstimator:
+    @pytest.mark.parametrize("method", ["fdb-pro", "fdb-l2", "fastmcd"])
+    @pytest.mark.parametrize("n_starts", [0, -3, 2.5])
+    def test_bad_start_count_is_invalid_config_for_every_method(self, rng, method, n_starts):
+        x = rng.standard_normal((40, 3))
+        with pytest.raises(InvalidConfig, match="start count"):
+            evaluation.run_estimator(x, method, n_starts=n_starts)
+
+
 class TestRunBenchmark:
     def test_single_replicate_deterministic(self):
         cells = [BenchmarkCell("A", "cluster", 0.1, 5.0, "fdb-l2")]
