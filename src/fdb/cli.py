@@ -234,9 +234,7 @@ def _parse_k(value: "str | None") -> "int | None":
         k = int(value)
     except ValueError:
         raise InputError(f"direction count must be an integer or 'auto', got {value!r}") from None
-    if k < 1:
-        raise InputError(f"direction count must be positive, got {k}")
-    return k
+    return checked_integer(k, "direction count", 1)
 
 
 def _items(value: str) -> "list[str]":

@@ -29,12 +29,13 @@ from .errors import (
 
 # Byte budget of one working block: each worker thread of projection depth
 # holds two blocks of directions x samples, each worker of L2 depth one block
-# of rows x samples, so their memory stays bounded whatever n and k are. The
-# block size must not depend on the thread count: OpenBLAS picks its kernel
-# by operand shape, so only equal blocks give bitwise-equal depths for every
-# count. 256 KiB lets two workers hold what one worker held at 512 KiB; at
-# 2000 x 200 with one BLAS thread it makes a single L2 worker 19% slower than
-# 512 KiB. There it holds 16 projection directions, which
+# of rows x samples or one Gram tile (``_gram_tiles``), so their memory stays
+# bounded whatever n and k are. The block size must not depend on the thread
+# count: OpenBLAS picks its kernel by operand shape, so only equal blocks give
+# bitwise-equal depths for every count. 256 KiB lets two workers hold what
+# one worker held at 512 KiB; at 2000 x 200 with one BLAS thread a single L2
+# worker took a median 37.2 ms with it and 35.7 ms with 512 KiB (30
+# alternating calls). There it holds 16 projection directions, which
 # ``_projection_rows`` widens to 50: with k = 2000, directions drawn in the
 # kernel, blocks of 25 and 50 took 0.88x and 0.77x the time of 16 on one
 # worker, 0.86x and 0.72x on two (medians of 25).
@@ -74,14 +75,14 @@ _CHUNK_BYTES = _BLOCK_BYTES // 4
 
 # An L2 worker may finish this many blocks ahead of the block whose column
 # sums are due next before it waits. In strict lock-step (0) a stall of one
-# thread stalls the other; two workers at n = 2000, p = 200, one BLAS thread,
-# took a median 34.2-43.6 ms with 0 and 33.6-38.7 ms with 4 (three passes of
-# 30 alternating calls on a 2-vCPU Xeon). 4 costs at most four parked
-# length-m vectors.
+# thread stalls the other. Two workers at n = 2000, p = 200 (32 blocks of 64
+# rows), one BLAS thread, took a median 23.5-38.7 ms with 0 and 23.4-38.3 ms
+# with 4, faster in each of three passes of 30 alternating calls on a 2-vCPU
+# Xeon. 4 costs at most four parked length-m vectors.
 _L2_LOOKAHEAD = 4
 
 # From this dimension on, L2 depth uses the Gram form |a|^2 + |b|^2 - 2 a'b,
-# one matrix product per block; below it pairwise differences (cdist) are
+# one matrix product per tile; below it pairwise differences (cdist) are
 # faster at n = 200, where the measured crossover lies between p = 14 and
 # p = 16. Since each pair is computed once, the Gram form is also faster at
 # n = 400 (0.87x-0.94x for p = 2 to 5) and n = 1000 (0.75x at p = 6); at
@@ -198,6 +199,10 @@ class DirectionSet:
     seed: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.p)
+        except TypeError:
+            raise InvalidConfig(f"dimension must be an integer, got {self.p!r}") from None
         if self.p < 1:
             raise DimensionError(f"dimension must be positive, got {self.p}")
         checked_integer(self.k, "direction count", 1)
@@ -376,6 +381,21 @@ def l2_depth(data, threads: "int | None" = None, *, return_mean_distance: bool =
     return (depths, mean_dist) if return_mean_distance else depths
 
 
+def _gram_tiles(m: int) -> "tuple[int, int]":
+    """(rows, width) of the Gram path for m distinct rows: blocks of
+    ``rows`` rows, whose strips are computed in panels of ``width`` columns.
+
+    A block has at least 64 rows where m allows, so that every matrix
+    product packs its panel for that many rows of work, and at most the
+    square root of the budget, so that a panel is at least as wide as a
+    block and the first one covers the block's diagonal. A tile of rows x
+    width stays within ``_BLOCK_BYTES``. For m <= 512 this is one panel per
+    ``_block_rows(m)`` rows, which covers the whole strip.
+    """
+    rows = min(m, max(_block_rows(m), 64), math.isqrt(_BLOCK_BYTES // 8))
+    return rows, _BLOCK_BYTES // (8 * rows)
+
+
 def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> np.ndarray:
     """Sum of the Euclidean distances from each row of ``x * 2**-exponent``
     to all rows, through |a|^2 + |b|^2 - 2 a'b on the centred scaled copy.
@@ -386,38 +406,57 @@ def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> 
 
     Each pair of distinct rows is computed once. The block of rows
     [start, stop) takes the strip of distances to the rows from ``start``
-    on: its row sums complete those rows, and its weighted column sums fill
-    in the lower triangle of every later row. The workers take the blocks
-    in index order, each the next one when it asks, and a ``_BlockOrderSum``
-    adds the blocks' vectors in block order, whichever worker finishes
-    first, so every sum adds the same per-block terms in the same order for
-    every thread count. The working memory is one block of at most ``_BLOCK_BYTES`` and one length-m vector per worker,
-    at most ``_L2_LOOKAHEAD`` parked length-m vectors and the accumulator,
-    besides the centred copy.
+    on, one ``_gram_tiles`` panel at a time; the first panel holds the
+    block's diagonal. The block's vector accumulates the strip's weighted
+    row sums over its panels, which complete the block's rows, followed by
+    the weighted column sums right of the diagonal, which fill in the lower
+    triangle of every later row. The workers take the blocks in index
+    order, each the next one when it asks, and a ``_BlockOrderSum`` adds
+    the blocks' vectors in block order, whichever worker finishes first,
+    so every sum adds the same per-block terms in the same order for every
+    thread count. The working memory is one tile of at most
+    ``_BLOCK_BYTES`` and one length-m vector per worker, at most
+    ``_L2_LOOKAHEAD`` parked length-m vectors and the accumulator, besides
+    the centred copy.
     """
     xc, inverse, weights = _distinct_rows(x)
-    np.ldexp(xc, -exponent, out=xc)
+    if exponent:
+        np.ldexp(xc, -exponent, out=xc)
     xc -= xc.mean(axis=0)
     sq = np.einsum("ij,ij->i", xc, xc)
     m, p = xc.shape
-    rows = min(_block_rows(m), m)
+    rows, width = _gram_tiles(m)
     sums = _BlockOrderSum(m)
 
-    def fill(take):
-        buf = np.empty(rows * m)
-        try:
-            while (start := take()) is not None:
-                stop = min(start + rows, m)
-                r = stop - start
-                d2 = buf[: r * (m - start)].reshape(r, m - start)
-                np.matmul(xc[start:stop], xc[start:].T, out=d2)
-                d2 *= -2.0
-                d2 += sq[start:stop, None]
-                d2 += sq[start:]
-                np.maximum(d2, 0.0, out=d2)
+    def block_share(start, buf):
+        """The vector of the block from ``start``, its tiles computed in ``buf``."""
+        r = min(rows, m - start)
+        strip, strip_sq, w = xc[start:], sq[start:], weights[start:]
+        for a in range(0, m - start, width):  # the panel's columns in the strip
+            b = min(a + width, m - start)
+            d2 = buf[: r * (b - a)].reshape(r, b - a)
+            np.matmul(strip[:r], strip[a:b].T, out=d2)
+            d2 *= -2.0
+            d2 += strip_sq[:r, None]
+            d2 += strip_sq[a:b]
+            np.maximum(d2, 0.0, out=d2)
+            if a == 0:
                 np.fill_diagonal(d2, 0.0)
                 np.sqrt(d2, out=d2)
-                if not sums.add(start // rows, start, _strip_sums(d2, weights[start:])):
+                share = np.empty(m - start)  # after the ufunc buffers of the first tile
+                np.matmul(d2, w[:b], out=share[:r])
+                np.matmul(w[:r], d2[:, r:], out=share[r:b])
+            else:
+                np.sqrt(d2, out=d2)
+                share[:r] += d2 @ w[a:b]
+                np.matmul(w[:r], d2, out=share[a:b])
+        return share
+
+    def fill(take):
+        buf = np.empty(rows * min(width, m))
+        try:
+            while (start := take()) is not None:
+                if not sums.add(start // rows, start, block_share(start, buf)):
                     return  # another worker failed and its error is raised
         except BaseException:
             sums.fail()
@@ -425,21 +464,6 @@ def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> 
 
     _share(fill, range(0, m, rows), -(-m // rows), threads, rows * (m + rows) // 2 * p)
     return sums.total[inverse]
-
-
-def _strip_sums(d2: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """A strip's share of the distance sums of its rows and later rows.
-
-    ``d2`` holds the distances from r rows to the same r rows and then to
-    the rows after them, whose weights are ``w``. The result holds its
-    weighted row sums, then the column sums right of its r x r diagonal
-    block, weighted by the r rows' weights.
-    """
-    r = d2.shape[0]
-    share = np.empty(d2.shape[1])
-    np.matmul(d2, w, out=share[:r])
-    np.matmul(w[:r], d2[:, r:], out=share[r:])
-    return share
 
 
 class _BlockOrderSum:

@@ -157,6 +157,17 @@ class TestInputHandling:
         assert "input error" in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["estimate", "depth"])
+    def test_zero_direction_count_gets_the_library_message(
+        self, sample_csv, tmp_path, capsys, command
+    ):
+        # The message of EstimatorConfig(k=0) and DirectionSet(3, 0, 0).
+        out = tmp_path / "out"
+        assert main([command, "--input", sample_csv, "--output", str(out), "--k", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "input error: direction count must be at least 1, got 0" in err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self):
         assert main(["estimate"]) == 1          # missing required flags
         assert main(["frobnicate"]) == 1        # unknown command

@@ -61,7 +61,13 @@ class TestSampleDirections:
 
     @pytest.mark.parametrize(
         "p, k, seed, error",
-        [(0, 10, 0, DimensionError), (3, 2.5, 0, InvalidConfig), (3, 10, -1, InvalidConfig)],
+        [
+            (0, 10, 0, DimensionError),
+            (2.5, 10, 0, InvalidConfig),
+            ("3", 10, 0, InvalidConfig),
+            (3, 2.5, 0, InvalidConfig),
+            (3, 10, -1, InvalidConfig),
+        ],
     )
     def test_direction_set_checks_as_sample_directions_does(self, p, k, seed, error):
         for make in (DirectionSet, sample_directions):
@@ -256,9 +262,11 @@ def _projection_bound(n: int, p: int, threads: int) -> int:
 
 
 def _check_l2_depth_against_reference(monkeypatch, rng, p, offset, rows):
-    """L2 depth of 150 samples in blocks of ``rows`` of their m = 146
-    distinct rows, against the oracle. The copies of row 3 lie in other
-    blocks than row 3 itself and must get its depth."""
+    """L2 depth of 150 samples, with m = 146 distinct rows, against the
+    oracle under a block budget of ``rows`` x m values: cdist takes blocks
+    of ``rows`` rows, and the Gram path the ``_gram_tiles(146)`` of that
+    budget. The copies of row 3 lie in other blocks than row 3 itself and
+    must get its depth."""
     monkeypatch.setattr(depth, "_BLOCK_BYTES", 8 * 146 * rows)
     x = rng.standard_normal((150, p)) + offset
     x[[20, 75, 120, 149]] = x[3]
@@ -300,7 +308,8 @@ class TestDepthKernels:
     @pytest.mark.parametrize("p", [depth._L2_GRAM_MIN_P - 1, depth._L2_GRAM_MIN_P, 40])
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     def test_l2_depth_matches_reference(self, monkeypatch, rng, p, offset):
-        # Blocks of 16 rows, so the Gram path runs over several blocks.
+        # cdist takes blocks of 16 rows; the Gram path blocks of 48 rows in
+        # panels of 48 columns, so it runs over several blocks and panels.
         _check_l2_depth_against_reference(monkeypatch, rng, p, offset, rows=16)
 
     @pytest.mark.parametrize("p", [depth._L2_GRAM_MIN_P - 1, 40])
@@ -309,9 +318,39 @@ class TestDepthKernels:
     def test_l2_depth_matches_reference_for_any_block_size(
         self, monkeypatch, rng, p, offset, rows
     ):
-        # Blocks of 1 row, of 7 rows (which do not divide m = 146), or of
-        # all rows.
+        # cdist takes blocks of 1 row, of 7 rows (which do not divide
+        # m = 146) or of all rows; the Gram path tiles of 12 x 12, of 31 x 32
+        # (neither divides m) or one block of all rows.
         _check_l2_depth_against_reference(monkeypatch, rng, p, offset, rows)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_l2_depth_tiled_matches_reference(self, rng, offset):
+        # At the real budget, m = 1100 distinct rows take 18 blocks of 64
+        # rows (the last of 12) in panels of 512 columns, up to three per
+        # strip: neither count divides m. Row 3's copies sit at positions
+        # that block 0's second and third panels and later blocks cover;
+        # they are merged into one weighted row and must get its depth.
+        rows, width = depth._gram_tiles(1100)
+        assert (rows, width) == (64, 512)
+        x = rng.standard_normal((1104, 20)) + offset
+        copies = [100, 600, 1050, 1103]
+        x[copies] = x[3]
+        got = l2_depth(x)
+        assert np.max(np.abs(got - l2_depth_reference(x))) <= 1e-12
+        assert np.unique(got[[3, *copies]]).size == 1
+
+    def test_gram_tile_rule(self):
+        # Up to m = 512 a block has _block_rows(m) rows and its whole strip
+        # is one panel, one matrix product of the same shape as a whole
+        # strip. Every tile stays within the budget, and from m = 64 on
+        # every block but the last has at least 64 rows.
+        for m in range(1, 513):
+            rows, width = depth._gram_tiles(m)
+            assert rows == min(depth._block_rows(m), m) and width >= m
+        for m in range(1, 20_001):
+            rows, width = depth._gram_tiles(m)
+            assert 8 * rows * min(width, m) <= depth._BLOCK_BYTES
+            assert width >= rows >= min(m, 64)
 
     @pytest.mark.parametrize("p", [3, depth._L2_GRAM_MIN_P])
     def test_l2_depth_extreme_scale(self, rng, p):
@@ -379,8 +418,9 @@ class TestThreadCount:
     def test_failing_block_is_raised_without_deadlock(
         self, rng, monkeypatch, workers_at_any_size, threads
     ):
-        # The second block to take its square roots raises. Workers waiting
-        # for that block's turn must be released, and the error re-raised.
+        # The second tile to take its square roots raises (tiles of 24 rows
+        # x 25 columns here), in block 0 or 1. Workers waiting for that
+        # block's turn must be released, and the error re-raised.
         monkeypatch.setattr(depth, "_BLOCK_BYTES", 8 * 300 * 2)
         x = rng.standard_normal((300, 20))
         sqrt, calls, lock = np.sqrt, [], threading.Lock()
