@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import numeric
-from .depth import as_data_matrix
+from .depth import as_data_matrix, checked_integer
 from .errors import DimensionError, InvalidConfig, InvalidRule, NonFiniteValues
 from .estimators import LocationScatter, mahalanobis_sq
 
@@ -70,7 +70,7 @@ def robust_pca(data, ls: LocationScatter, n_components: int) -> PcaModel:
     p = x.shape[1]
     if ls.p != p:
         raise DimensionError(f"estimate dimension {ls.p} does not match data dimension {p}")
-    if not 1 <= n_components <= p:
+    if not 1 <= checked_integer(n_components, "component count", None) <= p:
         raise DimensionError(f"component count {n_components} not in [1, {p}]")
     eig = numeric.eigen_symmetric(ls.sigma)
     return PcaModel(

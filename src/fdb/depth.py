@@ -73,13 +73,14 @@ _PARALLEL_WORK = 2_000_000
 # was 0.4% slower (7 of 10) and 94 KB lower.
 _CHUNK_BYTES = _BLOCK_BYTES // 4
 
-# An L2 worker may finish this many blocks ahead of the block whose column
-# sums are due next before it waits. In strict lock-step (0) a stall of one
-# thread stalls the other. Two workers at n = 2000, p = 200 (32 blocks of 64
-# rows), one BLAS thread, took a median 23.5-38.7 ms with 0 and 23.4-38.3 ms
-# with 4, faster in each of three passes of 30 alternating calls on a 2-vCPU
-# Xeon. 4 costs at most four parked length-m vectors.
-_L2_LOOKAHEAD = 4
+# No worker takes a block more than this many blocks ahead of the first
+# block whose result is not yet reduced, in every kernel: so at most this
+# many finished results wait for their turn. In strict lock-step (0) a stall
+# of one thread stalls the other. Two L2 workers at n = 2000, p = 200 (32
+# blocks of 64 rows), one BLAS thread, took a median 23.5-38.7 ms with 0 and
+# 23.4-38.3 ms with 4, faster in each of three passes of 30 alternating
+# calls on a 2-vCPU Xeon.
+_LOOKAHEAD = 4
 
 # From this dimension on, L2 depth uses the Gram form |a|^2 + |b|^2 - 2 a'b,
 # one matrix product per tile; below it pairwise differences (cdist) are
@@ -101,14 +102,15 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
-def checked_integer(value, name: str, least: int) -> int:
-    """``value`` as an int of at least ``least``; ``InvalidConfig`` naming
-    ``name`` for anything else, a float such as 2.0 included."""
+def checked_integer(value, name: str, least: "int | None") -> int:
+    """``value`` as an int of at least ``least`` (of any size for None);
+    ``InvalidConfig`` naming ``name`` for anything else, a float such as 2.0
+    included."""
     try:
         number = operator.index(value)
     except TypeError:
         raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
-    if number < least:
+    if least is not None and number < least:
         raise InvalidConfig(f"{name} must be at least {least}, got {number}")
     return number
 
@@ -127,41 +129,64 @@ def _worker_count(threads: "int | None") -> int:
     return checked_integer(threads, "thread count", 1)
 
 
-def _share(work, items, blocks: int, threads: "int | None", block_work: int) -> list:
-    """Run ``work(take)`` on T worker threads; return their results in
-    worker order.
+def _map_in_order(
+    start_worker, reduce, items, blocks: int, threads: "int | None", block_work: int
+) -> None:
+    """Call ``reduce(work(item))`` for the ``blocks`` ``items``, in item
+    order, on T worker threads, where ``work = start_worker()`` is made
+    once per worker, so it can reuse its buffers from block to block.
 
-    ``take()`` hands out the ``blocks`` ``items`` in order, one per call, to
-    whichever worker asks next, and None once all are taken. T is the
-    thread count (``threads``, else FDB_THREADS, else 1), at most
+    T is the thread count (``threads``, else FDB_THREADS, else 1), at most
     ``blocks``, where a block takes ``block_work`` >= ``_PARALLEL_WORK``
-    multiply-adds, and 1 otherwise; a single worker runs inline. Once a
-    worker raises, ``take()`` hands out nothing more, and the error is
-    raised when the others have finished their blocks.
+    multiply-adds, and 1 otherwise; a single worker runs inline. Each
+    worker takes the next item when it asks, but none more than
+    ``_LOOKAHEAD`` ahead of the first result not yet reduced; finished
+    results wait for their turn, and ``reduce`` runs under the lock in item
+    order, whichever worker finished first. Once a worker raises, in its
+    block or in ``reduce``, nothing more is handed out or reduced, and the
+    error is raised when the others have stopped.
     """
     count = _worker_count(threads)
     workers = min(count, blocks) if block_work >= _PARALLEL_WORK else 1
-    items, lock = iter(items), threading.Lock()
+    if workers == 1:
+        work = start_worker()
+        for item in items:
+            reduce(work(item))
+        return
+    items, turn = iter(items), threading.Condition()
+    done = {}  # finished results that wait for their turn
+    taken = due = 0  # blocks handed out; blocks reduced
     failed = False
 
-    def take():
-        with lock:
-            return None if failed else next(items, None)
-
-    if workers == 1:
-        return [work(take)]
-
-    def guarded(take):
-        nonlocal failed
+    def run(_):
+        nonlocal taken, due, failed
         try:
-            return work(take)
+            work = start_worker()
+            while True:
+                with turn:
+                    turn.wait_for(lambda: failed or taken <= due + _LOOKAHEAD)
+                    if failed or taken == blocks:
+                        return
+                    block, item = taken, next(items)
+                    taken += 1
+                result = work(item)
+                with turn:
+                    if failed:
+                        return
+                    done[block] = result
+                    del result  # not held while this worker computes its next block
+                    while due in done:
+                        reduce(done.pop(due))
+                        due += 1
+                    turn.notify_all()
         except BaseException:
-            with lock:
+            with turn:
                 failed = True
+                turn.notify_all()
             raise
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(guarded, [take] * workers))
+        list(pool.map(run, range(workers)))
 
 
 def default_direction_count(p: int) -> int:
@@ -285,9 +310,10 @@ def projection_depth(
     working memory is two blocks of projections per worker thread, plus, for
     a ``DirectionSet``, the chunks of directions that the workers' blocks
     come from, each of at most ``_CHUNK_BYTES`` or one block of directions,
-    whatever k is. ``threads`` workers (``None``: FDB_THREADS, else 1) take
-    the blocks in index order, each the next one when it asks; the depths
-    are bitwise equal for every count.
+    whatever k is. ``_map_in_order`` runs the blocks on ``threads`` workers
+    (``None``: FDB_THREADS, else 1) and takes the maximum of their
+    per-sample outlyingness in block order; the maximum is exact, so the
+    depths are bitwise equal for every count.
     """
     x = as_data_matrix(data)
     n, p = x.shape
@@ -300,13 +326,13 @@ def projection_depth(
         raise DimensionError(f"directions have dimension {width}, data has dimension {p}")
     rows = min(_projection_rows(n, p), k)
 
-    def running_max(take):
-        block = take()  # draws a drawn set's first chunk before the buffers
+    def start_worker():
         proj = np.empty((rows, n))  # one direction per row
         work = np.empty((rows, n))  # partitioned copy for the medians
-        outlyingness = np.zeros(n)
-        usable = False
-        while block is not None:
+
+        def block_max(block):
+            """Each sample's largest outlyingness over ``block``, and
+            whether any direction of it has a nonzero MAD."""
             dev = proj[: block.shape[0]]
             part = work[: block.shape[0]]
             np.matmul(block, x.T, out=dev)
@@ -317,22 +343,24 @@ def projection_depth(
             # A zero-MAD direction divides by infinity and contributes 0,
             # which never raises the nonnegative running maximum.
             zero = madv == 0.0
-            usable = usable or not zero.all()
             madv[zero] = np.inf
             np.divide(dev, madv[:, None], out=dev)
-            np.maximum(outlyingness, dev.max(axis=0), out=outlyingness)
-            block = take()
-        return outlyingness, usable
+            return dev.max(axis=0), not zero.all()
+
+        return block_max
+
+    outlyingness = np.zeros(n)
+    usable = False
+
+    def merge(result):
+        nonlocal usable
+        np.maximum(outlyingness, result[0], out=outlyingness)
+        usable = usable or result[1]
 
     blocks = _direction_blocks(dirs, rows)
-    results = _share(running_max, blocks, -(-k // rows), threads, rows * n * p)
-    if not any(usable for _, usable in results):
+    _map_in_order(start_worker, merge, blocks, -(-k // rows), threads, rows * n * p)
+    if not usable:
         raise DegenerateData("every projection direction has zero MAD")
-    # The maximum is exact, so merging the workers' maxima in any order
-    # gives the same bits.
-    outlyingness = results[0][0]
-    for other, _ in results[1:]:
-        np.maximum(outlyingness, other, out=outlyingness)
     return 1.0 / (1.0 + outlyingness)
 
 
@@ -346,10 +374,10 @@ def l2_depth(data, threads: "int | None" = None, *, return_mean_distance: bool =
     differences. Either way the working memory is one block of at most
     ``_BLOCK_BYTES`` per worker thread besides one copy of the data and a
     few length-n vectors: in the Gram form one per worker, at most
-    ``_L2_LOOKAHEAD`` parked ones and the accumulator. ``threads`` workers
-    (``None``: FDB_THREADS, else 1) take the blocks in index order, each the
-    next one when it asks, and the block terms of every sum are added in
-    block order; the depths are bitwise equal for every count.
+    ``_LOOKAHEAD`` finished ones waiting for their turn and the sums.
+    ``_map_in_order`` runs the blocks on ``threads`` workers (``None``:
+    FDB_THREADS, else 1) and combines their terms in block order, so the
+    depths are bitwise equal for every count.
 
     With ``return_mean_distance`` the result is (depths, mean distances).
     The depth rounds to 1 for mean distances below 2**-53, so tiny data
@@ -370,12 +398,15 @@ def l2_depth(data, threads: "int | None" = None, *, return_mean_distance: bool =
         rows = _block_rows(n)
         sums = np.empty(n)
 
-        def fill(take):  # workers write disjoint slices of sums
-            while (start := take()) is not None:
-                stop = min(start + rows, n)
-                sums[start:stop] = cdist(scaled[start:stop], scaled).sum(axis=1)
+        def row_sums(start):
+            return start, cdist(scaled[start : start + rows], scaled).sum(axis=1)
 
-        _share(fill, range(0, n, rows), -(-n // rows), threads, rows * n * p)
+        def write(result):
+            start, block_sums = result
+            sums[start : start + rows] = block_sums
+
+        blocks = -(-n // rows)
+        _map_in_order(lambda: row_sums, write, range(0, n, rows), blocks, threads, rows * n * p)
     mean_dist = np.ldexp(sums / n, exponent)
     depths = 1.0 / (1.0 + mean_dist)
     return (depths, mean_dist) if return_mean_distance else depths
@@ -410,14 +441,13 @@ def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> 
     block's diagonal. The block's vector accumulates the strip's weighted
     row sums over its panels, which complete the block's rows, followed by
     the weighted column sums right of the diagonal, which fill in the lower
-    triangle of every later row. The workers take the blocks in index
-    order, each the next one when it asks, and a ``_BlockOrderSum`` adds
-    the blocks' vectors in block order, whichever worker finishes first,
-    so every sum adds the same per-block terms in the same order for every
-    thread count. The working memory is one tile of at most
-    ``_BLOCK_BYTES`` and one length-m vector per worker, at most
-    ``_L2_LOOKAHEAD`` parked length-m vectors and the accumulator, besides
-    the centred copy.
+    triangle of every later row. ``_map_in_order`` runs the blocks on the
+    workers and adds their vectors into the sums in block order, whichever
+    worker finishes first, so every sum adds the same per-block terms in
+    the same order for every thread count. The working memory is one tile
+    of at most ``_BLOCK_BYTES`` and one length-m vector per worker, at most
+    ``_LOOKAHEAD`` finished length-m vectors waiting for their turn and the
+    sums, besides the centred copy.
     """
     xc, inverse, weights = _distinct_rows(x)
     if exponent:
@@ -426,7 +456,11 @@ def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> 
     sq = np.einsum("ij,ij->i", xc, xc)
     m, p = xc.shape
     rows, width = _gram_tiles(m)
-    sums = _BlockOrderSum(m)
+    total = np.zeros(m)
+
+    def start_worker():
+        buf = np.empty(rows * min(width, m))  # one tile
+        return lambda start: (start, block_share(start, buf))
 
     def block_share(start, buf):
         """The vector of the block from ``start``, its tiles computed in ``buf``."""
@@ -452,59 +486,13 @@ def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> 
                 np.matmul(w[:r], d2, out=share[a:b])
         return share
 
-    def fill(take):
-        buf = np.empty(rows * min(width, m))
-        try:
-            while (start := take()) is not None:
-                if not sums.add(start // rows, start, block_share(start, buf)):
-                    return  # another worker failed and its error is raised
-        except BaseException:
-            sums.fail()
-            raise
+    def add(result):
+        start, share = result
+        total[start:] += share
 
-    _share(fill, range(0, m, rows), -(-m // rows), threads, rows * (m + rows) // 2 * p)
-    return sums.total[inverse]
-
-
-class _BlockOrderSum:
-    """Adds the vectors of blocks 0, 1, 2, ... into ``total`` strictly in
-    block order, whichever worker thread delivers them, so the sum has the
-    same bits for every thread count.
-
-    A block may be delivered up to ``_L2_LOOKAHEAD`` blocks ahead of the
-    next one due; its vector is parked until then, and whichever thread
-    holds the lock adds the parked vectors that have come due. A worker
-    further ahead waits, so at most that many vectors are parked.
-    """
-
-    def __init__(self, m: int):
-        self.total = np.zeros(m)
-        self._parked = {}
-        self._due = 0
-        self._failed = False
-        self._turn = threading.Condition()
-
-    def add(self, block: int, start: int, vector: np.ndarray) -> bool:
-        """Add ``vector`` to ``total[start:]`` in block ``block``'s turn;
-        False, and nothing added, once a worker has failed."""
-        with self._turn:
-            self._turn.wait_for(lambda: self._failed or block <= self._due + _L2_LOOKAHEAD)
-            if self._failed:
-                return False
-            self._parked[block] = start, vector
-            if block == self._due:
-                while self._due in self._parked:
-                    at, due = self._parked.pop(self._due)
-                    self.total[at:] += due
-                    self._due += 1
-                self._turn.notify_all()
-        return True
-
-    def fail(self) -> None:
-        """Release the workers waiting for a turn that will not come."""
-        with self._turn:
-            self._failed = True
-            self._turn.notify_all()
+    blocks = -(-m // rows)
+    _map_in_order(start_worker, add, range(0, m, rows), blocks, threads, rows * (m + rows) // 2 * p)
+    return total[inverse]
 
 
 def _distinct_rows(x: np.ndarray):
@@ -531,8 +519,10 @@ def deepest_subset(depths, h: int) -> np.ndarray:
     """Indices (ascending) of the h largest depth values.
 
     Ties at the boundary are broken in favour of the smaller original index.
-    A NaN depth cannot be ranked and raises ``NonFiniteValues``.
+    A NaN depth cannot be ranked and raises ``NonFiniteValues``; a
+    non-integer h raises ``InvalidConfig``.
     """
+    h = checked_integer(h, "subset size", None)
     d = np.asarray(depths, dtype=float).ravel()
     n = d.size
     if h > n or h < 1:

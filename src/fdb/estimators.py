@@ -10,6 +10,7 @@ for tiny instances are provided for comparison and testing.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from contextlib import contextmanager
@@ -98,6 +99,8 @@ class EstimatorConfig:
     threads: "int | None" = None
 
     def __post_init__(self):
+        if not isinstance(self.alpha, numbers.Real):
+            raise InvalidConfig(f"alpha must be a number, got {self.alpha!r}")
         if not 0.5 <= self.alpha <= 1.0:
             raise InvalidConfig(f"alpha must lie in [0.5, 1], got {self.alpha}")
         if self.depth not in ("projection", "l2"):
@@ -220,6 +223,8 @@ def _singular(pivot: int) -> SingularCovariance:
 def subset_mean_cov(data, subset, denominator: str = "h-1") -> LocationScatter:
     """Mean and covariance of the rows selected by ``subset``.
 
+    ``subset`` holds integer row indices in [0, n); anything else, a
+    boolean mask or a negative index included, raises ``InvalidConfig``.
     ``denominator`` is the literal divisor convention, "h" or "h-1". A
     singular covariance raises ``SingularCovariance``.
 
@@ -229,8 +234,13 @@ def subset_mean_cov(data, subset, denominator: str = "h-1") -> LocationScatter:
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise DimensionError(f"expected a 2-d sample matrix, got ndim={x.ndim}")
-    idx = np.asarray(subset, dtype=int).ravel()
+    idx = np.asarray(subset).ravel()
     h = idx.size
+    n = x.shape[0]
+    if h and idx.dtype.kind not in "iu":  # signed or unsigned integers
+        raise InvalidConfig(f"subset must hold integer row indices, got {idx.dtype} values")
+    if h and not 0 <= idx.min() <= idx.max() < n:
+        raise InvalidConfig(f"subset indices must lie in [0, {n}), got {idx.min()} to {idx.max()}")
     if denominator not in ("h", "h-1"):
         raise InvalidConfig(f"denominator must be 'h' or 'h-1', got {denominator!r}")
     div = h if denominator == "h" else h - 1
@@ -346,13 +356,12 @@ def iterate_c_steps(data, start: LocationScatter, h: int, max_iter: int = _MAX_C
     falls below 1e-12, or after ``max_iter`` estimate updates. This is the
     stacked step of ``fastmcd_baseline`` on a stack of one.
     """
-    if max_iter < 1:
-        raise InvalidConfig(f"need at least one C-step, got max_iter={max_iter}")
+    checked_integer(max_iter, "C-step count", 1)
     x = np.asarray(data, dtype=float)
     p = start.p
     if x.ndim != 2 or x.shape[1] != p:
         raise DimensionError(f"expected an (n, {p}) sample matrix, got shape {x.shape}")
-    _checked_subset_size(h, x.shape[0], p)
+    _checked_subset_size(checked_integer(h, "subset size", None), x.shape[0], p)
     mu, sigma, lower = start.mu[None].copy(), start.sigma[None].copy(), start.lower[None].copy()
     subsets, iterations, _, singular = _concentrate(x, mu, sigma, lower, h, max_iter)
     if singular[0] >= 0:
@@ -573,7 +582,7 @@ def exhaustive_mcd(data, h: int):
     """
     x = as_data_matrix(data)
     n, p = x.shape
-    _checked_subset_size(h, n, p)
+    _checked_subset_size(checked_integer(h, "subset size", None), n, p)
     total = math.comb(n, h)
     if total > _ORACLE_LIMIT:
         raise OracleTooLarge(f"C({n}, {h}) = {total} exceeds the oracle bound {_ORACLE_LIMIT}")

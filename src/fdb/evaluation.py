@@ -56,6 +56,9 @@ class GenerationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        checked_integer(self.n, "sample count", None)
+        checked_integer(self.p, "dimension", None)
+        checked_integer(self.seed, "seed", 0)
         if self.n < 1 or self.p < 1:
             raise DimensionError(f"need n >= 1 and p >= 1, got n={self.n}, p={self.p}")
         lo = -1.0 / (self.p - 1) if self.p > 1 else -np.inf
@@ -127,6 +130,7 @@ def contaminate(y, spec: ContaminationSpec, seed=0):
     - radial:  N(0, 5 I), with 5 taken literally as the covariance scale.
     """
     y = as_data_matrix(y)
+    checked_integer(seed, "seed", 0)
     n, p = y.shape
     m = _outlier_count(n, p, spec)
     out = y.copy()
@@ -352,7 +356,7 @@ def check_grid(
     """
     if not cells:
         raise InvalidConfig("benchmark grid is empty")
-    if replicates < 1:
+    if checked_integer(replicates, "replicate count", None) < 1:
         raise InvalidConfig(f"need at least one replicate, got {replicates}")
     if alpha is not None:
         EstimatorConfig(alpha=alpha)  # the estimators' own alpha rule

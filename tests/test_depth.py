@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -420,7 +421,7 @@ class TestThreadCount:
     ):
         # The second tile to take its square roots raises (tiles of 24 rows
         # x 25 columns here), in block 0 or 1. Workers waiting for that
-        # block's turn must be released, and the error re-raised.
+        # block's reduction must be released, and the error re-raised.
         monkeypatch.setattr(depth, "_BLOCK_BYTES", 8 * 300 * 2)
         x = rng.standard_normal((300, 20))
         sqrt, calls, lock = np.sqrt, [], threading.Lock()
@@ -433,14 +434,6 @@ class TestThreadCount:
             return sqrt(*args, **kwargs)
 
         monkeypatch.setattr(np, "sqrt", failing_sqrt)
-        reductions = []
-
-        class Recorded(depth._BlockOrderSum):
-            def __init__(self, m):
-                super().__init__(m)
-                reductions.append(self)
-
-        monkeypatch.setattr(depth, "_BlockOrderSum", Recorded)
         outcome = []
 
         def call():
@@ -452,13 +445,7 @@ class TestThreadCount:
         helper = threading.Thread(target=call, daemon=True)
         helper.start()
         helper.join(10.0)
-        hung = helper.is_alive()
-        for reduction in reductions if hung else ():
-            # Free the stuck workers, or the pool's exit hook waits for them.
-            with reduction._turn:
-                reduction._failed = True
-                reduction._turn.notify_all()
-        assert not hung, "l2_depth did not return within 10 s"
+        assert not helper.is_alive(), "l2_depth did not return within 10 s"
         assert [str(exc) for exc in outcome] == ["second block"]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -704,31 +691,104 @@ class TestDirectionStream:
         assert peak < bound + 64 * n
 
 
-class TestBlockOrderSum:
-    """The reduction behind the Gram path of L2 depth."""
+class TestMapInOrder:
+    """The helper that runs the blocks of every depth kernel on worker
+    threads and reduces their results in block order."""
 
-    def test_adds_in_block_order_whatever_the_delivery_order(self):
-        # 1 + 2**-53 rounds to 1, so only the order 0, 1, 2 gives exactly 1.
-        sums = depth._BlockOrderSum(1)
-        for block, value in [(2, 2.0**-53), (1, 2.0**-53), (0, 1.0)]:
-            assert sums.add(block, 0, np.array([value]))
-        assert sums.total[0] == 1.0
+    @staticmethod
+    def _map(work, reduce, blocks, threads):
+        """``_map_in_order`` over ``range(blocks)`` on ``threads`` workers,
+        called on a helper thread; the MemoryError it raised, if any."""
+        outcome = []
 
-    def test_fail_releases_a_worker_waiting_for_its_turn(self):
-        sums = depth._BlockOrderSum(3)
-        result = []
-        ahead = depth._L2_LOOKAHEAD + 1
-        helper = threading.Thread(
-            target=lambda: result.append(sums.add(ahead, 0, np.ones(3))), daemon=True
-        )
+        def call():
+            try:
+                depth._map_in_order(
+                    lambda: work, reduce, range(blocks), blocks, threads, depth._PARALLEL_WORK
+                )
+            except MemoryError as exc:
+                outcome.append(exc)
+
+        helper = threading.Thread(target=call, daemon=True)
         helper.start()
-        helper.join(0.2)
-        assert helper.is_alive() and result == []
-        sums.fail()
         helper.join(10.0)
-        assert not helper.is_alive() and result == [False]
-        assert not sums.add(0, 0, np.ones(3))
-        assert not sums.total.any()
+        assert not helper.is_alive(), "_map_in_order did not return within 10 s"
+        return [str(exc) for exc in outcome]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_reduces_in_block_order_when_later_blocks_finish_first(self, pools, threads):
+        # The first threads - 1 blocks wait until block `threads` starts,
+        # which its worker takes once block threads - 1 has finished.
+        # 1 + 2**-53 rounds to 1, so only the order 0, 1, 2, ... gives
+        # exactly 1.
+        blocks = 12
+        started = [threading.Event() for _ in range(blocks)]
+        order, total = [], [0.0]
+
+        def work(block):
+            started[block].set()
+            if block < threads - 1:
+                assert started[threads].wait(10.0)
+            return block, 1.0 if block == 0 else 2.0**-53
+
+        def add(result):
+            order.append(result[0])
+            total[0] += result[1]
+
+        assert self._map(work, add, blocks, threads) == []
+        assert pools == [threads]
+        assert order == list(range(blocks))
+        assert total[0] == 1.0
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_no_block_is_taken_beyond_the_lookahead(self, threads):
+        # Block 0 holds its worker until block _LOOKAHEAD has started and a
+        # little longer, so the other workers run as far ahead as they may.
+        blocks, lead, reduced = 20, [], []
+        started = [threading.Event() for _ in range(blocks)]
+
+        def work(block):
+            lead.append(block - len(reduced))
+            started[block].set()
+            if block == 0:
+                assert started[depth._LOOKAHEAD].wait(10.0)
+                time.sleep(0.05)
+            return block
+
+        assert self._map(work, reduced.append, blocks, threads) == []
+        assert reduced == list(range(blocks))
+        assert max(lead) == depth._LOOKAHEAD
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("where", ["block", "reduce"])
+    def test_failure_is_raised_without_deadlock(self, threads, where):
+        # Block 1 fails, in its work or in its reduction, once block
+        # 1 + _LOOKAHEAD has started: the other workers then wait for
+        # block 1's reduction and must be released. Nothing more is handed
+        # out or reduced, and the error is raised once.
+        blocks, taken, reduced = 40, [], []
+        last = 1 + depth._LOOKAHEAD
+        started = threading.Event()
+
+        def work(block):
+            taken.append(block)
+            if block == last:
+                started.set()
+            if block == 1:
+                assert started.wait(10.0)
+                time.sleep(0.05)
+                if where == "block":
+                    raise MemoryError("block 1")
+            return block
+
+        def reduce(block):
+            reduced.append(block)
+            if block == 1:
+                raise MemoryError("block 1")
+
+        assert self._map(work, reduce, blocks, threads) == ["block 1"]
+        assert max(taken) == last
+        assert reduced == ([0] if where == "block" else [0, 1])
 
 
 @st.composite

@@ -91,12 +91,21 @@ class TestSubsetMeanCov:
         assert np.max(np.abs(ls.mu - mu)) <= 1e-12
         assert np.max(np.abs(ls.sigma - cov)) <= 1e-12
 
-    def test_subset_indices_follow_numpy_indexing(self, rng):
-        # A negative index counts from the end; one out of range raises.
-        x = rng.standard_normal((10, 2))
-        assert np.array_equal(subset_mean_cov(x, [-1, 0, 1]).sigma, subset_mean_cov(x, [9, 0, 1]).sigma)
-        with pytest.raises(IndexError):
-            subset_mean_cov(x, [0, 1, 10])
+    @pytest.mark.parametrize(
+        "subset",
+        [np.arange(10) < 5, [0.9, 1.9, 2.9, 3.9], [-1, 0, 1], [0, 1, 10]],
+        ids=["mask", "fractions", "negative", "beyond-n"],
+    )
+    def test_subset_other_than_row_indices_is_invalid_config(self, rng, subset):
+        # A mask would be read as the rows 0 and 1, fractions truncated, -1
+        # wrapped to the last row, and 10 would raise a bare IndexError.
+        x = rng.standard_normal((10, 1))
+        with pytest.raises(InvalidConfig, match="subset"):
+            subset_mean_cov(x, subset)
+
+    def test_empty_subset_is_invalid_size(self):
+        with pytest.raises(InvalidSubsetSize):
+            subset_mean_cov(CROSS, [])
 
     def test_unknown_denominator_is_invalid_config(self):
         with pytest.raises(InvalidConfig):

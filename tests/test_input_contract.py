@@ -1,5 +1,6 @@
 """Every exported function that takes a sample matrix rejects NaN, inf and
-1-d input with an FdbError.
+1-d input with an FdbError, and every count or seed that is not an integer
+with InvalidConfig.
 
 Public entry points validate the whole matrix once. The C-step primitives
 (c_step, iterate_c_steps, reweight, subset_mean_cov, mahalanobis_sq) do not
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import fdb
-from fdb.errors import DimensionError, NonFiniteValues
+from fdb.errors import DimensionError, InvalidConfig, NonFiniteValues
 
 N, P, H = 30, 3, 20
 STATE = fdb.LocationScatter(np.zeros(P), np.eye(P))
@@ -72,3 +73,28 @@ def test_non_finite_value_is_rejected(name, bad):
 def test_one_dimensional_input_is_rejected(name):
     with pytest.raises(DimensionError), np.errstate(all="ignore"):
         CALLS[name](_clean()[:, 0])
+
+
+# name -> call with a count or seed that is not an integer, or a negative seed.
+BAD_COUNTS = {
+    "deepest_subset": lambda: fdb.deepest_subset(np.arange(10.0), 2.5),
+    "robust_pca": lambda: fdb.robust_pca(_clean(), STATE, 2.5),
+    "iterate_c_steps h": lambda: fdb.iterate_c_steps(_clean(), STATE, 20.5),
+    "iterate_c_steps max_iter": lambda: fdb.iterate_c_steps(_clean(), STATE, H, max_iter=2.5),
+    "exhaustive_mcd": lambda: fdb.exhaustive_mcd(_clean()[:10], 5.5),
+    "run_benchmark": lambda: fdb.run_benchmark(
+        [fdb.BenchmarkCell("A", "none", 0.0, 5.0, "fdb-pro")], 2.5
+    ),
+    "generate_clean": lambda: fdb.generate_clean(fdb.GenerationSpec(2.5, 3)),
+    "GenerationSpec seed": lambda: fdb.GenerationSpec(10, 3, seed=-1),
+    "EstimatorConfig alpha": lambda: fdb.EstimatorConfig(alpha="0.7"),
+    "contaminate seed": lambda: fdb.contaminate(
+        _clean(), fdb.ContaminationSpec("cluster", 0.2), seed=-1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_COUNTS))
+def test_bad_count_or_seed_is_invalid_config(name):
+    with pytest.raises(InvalidConfig):
+        BAD_COUNTS[name]()
