@@ -28,9 +28,9 @@ from .errors import (
 )
 
 # Byte budget of one working block: each worker thread of projection depth
-# holds two blocks of directions x samples, each worker of L2 depth one block
-# of rows x samples or one Gram tile (``_gram_tiles``), so their memory stays
-# bounded whatever n and k are. The block size must not depend on the thread
+# holds two blocks of directions x samples, each worker of L2 depth one tile
+# of rows x columns (``_gram_tiles``), so their memory stays bounded
+# whatever n and k are. The block size must not depend on the thread
 # count: OpenBLAS picks its kernel by operand shape, so only equal blocks give
 # bitwise-equal depths for every count. 256 KiB lets two workers hold what
 # one worker held at 512 KiB; at 2000 x 200 with one BLAS thread a single L2
@@ -51,15 +51,15 @@ _BLOCK_BYTES = 256 * 1024
 _PROJECTION_BLOCK_BYTES = 4 * _BLOCK_BYTES
 
 # A kernel starts more than one worker only where one block takes at least
-# this many multiply-adds: rows x n x p, where a Gram strip counts its mean
+# this many multiply-adds: rows x n x p, where an L2 strip counts its mean
 # width (m + rows) / 2 for n. A worker costs about 80 us to start and join,
 # and the workers queue for the interpreter lock between numpy calls. With
 # one BLAS thread, two workers took 0.95x-1.9x the one-worker time at 1.7M
 # and below, above 1x in 24 of 25 cases (projection 200 x 5 to 1000 x 40,
-# Gram 400 x 40 to 1024 x 100, cdist 512 x 5), 0.67x-1.11x at 1.9M,
-# 0.65x-1.07x at 2.5M and 0.56x-0.90x from 3.2M on (400 x 200: 0.64x-0.78x;
-# medians of 15-40 alternating calls, three passes). The 125 cdist blocks
-# of 2000 x 5 (0.16M each) read 0.71x-1.05x but run inline.
+# Gram 400 x 40 to 1024 x 100, strips of whole cdist rows 512 x 5),
+# 0.67x-1.11x at 1.9M, 0.65x-1.07x at 2.5M and 0.56x-0.90x from 3.2M on
+# (400 x 200: 0.64x-0.78x; medians of 15-40 alternating calls, three
+# passes). L2 blocks of difference tiles at 9000 x 8 (2.3M each) took 0.72x.
 _PARALLEL_WORK = 2_000_000
 
 # Byte budget of one chunk of a drawn direction set: projection depth draws
@@ -82,13 +82,16 @@ _CHUNK_BYTES = _BLOCK_BYTES // 4
 # calls on a 2-vCPU Xeon.
 _LOOKAHEAD = 4
 
-# From this dimension on, L2 depth uses the Gram form |a|^2 + |b|^2 - 2 a'b,
-# one matrix product per tile; below it pairwise differences (cdist) are
-# faster at n = 200, where the measured crossover lies between p = 14 and
-# p = 16. Since each pair is computed once, the Gram form is also faster at
-# n = 400 (0.87x-0.94x for p = 2 to 5) and n = 1000 (0.75x at p = 6); at
-# n = 300 and p <= 5 the two are within 6%.
-_L2_GRAM_MIN_P = 16
+# From this dimension on, an L2 tile is the Gram form |a|^2 + |b|^2 - 2 a'b,
+# one matrix product; below it, cdist of the rows, from their differences.
+# Both compute each pair once, in the same tiles. Gram tiles took, against
+# difference tiles, at n = 200, 400, 1000, 2000 and 8000 (one BLAS thread,
+# one worker, medians of 5-61 alternating calls, two passes): 1.02x-1.25x
+# at p = 5, 0.79x-1.13x at p = 8, 0.72x-1.05x at p = 9, 0.70x-1.00x at
+# p = 10, 0.65x-0.87x at p = 11 and 12 and 0.42x-0.74x at p = 15, 16 and
+# 20. So from p = 10 on the Gram form is no slower at any n measured, and
+# 200 x 5 stays on differences.
+_L2_GRAM_MIN_P = 10
 
 # L2 depth leaves data with max |x| in [2**-256, 2**256] unscaled: there
 # squared distances cannot overflow for p below 2**500, and the squares of
@@ -369,51 +372,28 @@ def l2_depth(data, threads: "int | None" = None, *, return_mean_distance: bool =
 
     Data of extreme scale are first scaled by a power of two, which is
     exact, so that squared distances neither overflow nor become subnormal.
-    From dimension ``_L2_GRAM_MIN_P`` on the distances come from the Gram
-    form of a centred copy, each pair computed once; below it from pairwise
-    differences. Either way the working memory is one block of at most
-    ``_BLOCK_BYTES`` per worker thread besides one copy of the data and a
-    few length-n vectors: in the Gram form one per worker, at most
-    ``_LOOKAHEAD`` finished ones waiting for their turn and the sums.
-    ``_map_in_order`` runs the blocks on ``threads`` workers (``None``:
-    FDB_THREADS, else 1) and combines their terms in block order, so the
-    depths are bitwise equal for every count.
+    ``_distance_sums`` computes each pair of distinct rows once, in tiles
+    of at most ``_BLOCK_BYTES``: from dimension ``_L2_GRAM_MIN_P`` on from
+    the Gram form of a centred copy, below it from pairwise differences.
+    Its blocks run on ``threads`` workers (``None``: FDB_THREADS, else 1),
+    and their terms are added in block order, so the depths are bitwise
+    equal for every count.
 
     With ``return_mean_distance`` the result is (depths, mean distances).
     The depth rounds to 1 for mean distances below 2**-53, so tiny data
     have to be ranked by the distances.
     """
     x = as_data_matrix(data)
-    n, p = x.shape
     exponent = math.frexp(max(x.max(), -x.min()))[1]
     if abs(exponent) <= _UNSCALED_EXPONENT:
         exponent = 0
-    if p >= _L2_GRAM_MIN_P:
-        sums = _gram_distance_sums(x, exponent, threads)
-    else:
-        # Imported on first use: scipy.spatial pulls in scipy.sparse, which no other path needs.
-        from scipy.spatial.distance import cdist
-
-        scaled = np.ldexp(x, -exponent) if exponent else x
-        rows = _block_rows(n)
-        sums = np.empty(n)
-
-        def row_sums(start):
-            return start, cdist(scaled[start : start + rows], scaled).sum(axis=1)
-
-        def write(result):
-            start, block_sums = result
-            sums[start : start + rows] = block_sums
-
-        blocks = -(-n // rows)
-        _map_in_order(lambda: row_sums, write, range(0, n, rows), blocks, threads, rows * n * p)
-    mean_dist = np.ldexp(sums / n, exponent)
+    mean_dist = np.ldexp(_distance_sums(x, exponent, threads) / x.shape[0], exponent)
     depths = 1.0 / (1.0 + mean_dist)
     return (depths, mean_dist) if return_mean_distance else depths
 
 
 def _gram_tiles(m: int) -> "tuple[int, int]":
-    """(rows, width) of the Gram path for m distinct rows: blocks of
+    """(rows, width) of the L2 tiles for m distinct rows: blocks of
     ``rows`` rows, whose strips are computed in panels of ``width`` columns.
 
     A block has at least 64 rows where m allows, so that every matrix
@@ -427,34 +407,41 @@ def _gram_tiles(m: int) -> "tuple[int, int]":
     return rows, _BLOCK_BYTES // (8 * rows)
 
 
-def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> np.ndarray:
+def _distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> np.ndarray:
     """Sum of the Euclidean distances from each row of ``x * 2**-exponent``
-    to all rows, through |a|^2 + |b|^2 - 2 a'b on the centred scaled copy.
+    to all rows, each pair of distinct rows computed once. From dimension
+    ``_L2_GRAM_MIN_P`` on, a tile of distances is |a|^2 + |b|^2 - 2 a'b on
+    the centred scaled rows, one matrix product; below it, ``cdist`` of the
+    scaled rows. Only the Gram form, scaled data and merged rows copy them.
 
     Bitwise-identical rows are merged first and weighted by their count, so
     they get identical sums and a distance of exactly 0 to each other, which
     the rounding of the Gram form would not give them.
 
-    Each pair of distinct rows is computed once. The block of rows
-    [start, stop) takes the strip of distances to the rows from ``start``
-    on, one ``_gram_tiles`` panel at a time; the first panel holds the
-    block's diagonal. The block's vector accumulates the strip's weighted
-    row sums over its panels, which complete the block's rows, followed by
-    the weighted column sums right of the diagonal, which fill in the lower
-    triangle of every later row. ``_map_in_order`` runs the blocks on the
-    workers and adds their vectors into the sums in block order, whichever
-    worker finishes first, so every sum adds the same per-block terms in
-    the same order for every thread count. The working memory is one tile
-    of at most ``_BLOCK_BYTES`` and one length-m vector per worker, at most
-    ``_LOOKAHEAD`` finished length-m vectors waiting for their turn and the
-    sums, besides the centred copy.
+    The block of rows [start, stop) takes the strip of distances to the
+    rows from ``start`` on, one ``_gram_tiles`` panel at a time; the first
+    panel holds the block's diagonal. The block's vector accumulates the
+    strip's weighted row sums over its panels, which complete the block's
+    rows, followed by the weighted column sums right of the diagonal, which
+    fill in the lower triangle of every later row. ``_map_in_order`` runs
+    the blocks on the workers and adds their vectors into the sums in block
+    order, so every sum adds the same per-block terms in the same order for
+    every thread count. The working memory is one tile of at most
+    ``_BLOCK_BYTES`` and one length-m vector per worker, at most
+    ``_LOOKAHEAD`` finished vectors waiting for their turn and the sums,
+    besides the rows.
     """
-    xc, inverse, weights = _distinct_rows(x)
-    if exponent:
-        np.ldexp(xc, -exponent, out=xc)
-    xc -= xc.mean(axis=0)
-    sq = np.einsum("ij,ij->i", xc, xc)
-    m, p = xc.shape
+    xd, inverse, weights = _distinct_rows(x)
+    m, p = xd.shape
+    gram = p >= _L2_GRAM_MIN_P
+    if gram or exponent:  # a scaled copy, in place where the rows are one already
+        xd = np.ldexp(xd, -exponent, out=None if xd is x else xd)
+    if gram:
+        xd -= xd.mean(axis=0)
+        sq = np.einsum("ij,ij->i", xd, xd)
+    else:
+        # Imported on first use: scipy.spatial pulls in scipy.sparse, which no other path needs.
+        from scipy.spatial.distance import cdist
     rows, width = _gram_tiles(m)
     total = np.zeros(m)
 
@@ -465,25 +452,28 @@ def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> 
     def block_share(start, buf):
         """The vector of the block from ``start``, its tiles computed in ``buf``."""
         r = min(rows, m - start)
-        strip, strip_sq, w = xc[start:], sq[start:], weights[start:]
+        strip, w = xd[start:], weights[start:]
         for a in range(0, m - start, width):  # the panel's columns in the strip
             b = min(a + width, m - start)
-            d2 = buf[: r * (b - a)].reshape(r, b - a)
-            np.matmul(strip[:r], strip[a:b].T, out=d2)
-            d2 *= -2.0
-            d2 += strip_sq[:r, None]
-            d2 += strip_sq[a:b]
-            np.maximum(d2, 0.0, out=d2)
-            if a == 0:
-                np.fill_diagonal(d2, 0.0)
-                np.sqrt(d2, out=d2)
-                share = np.empty(m - start)  # after the ufunc buffers of the first tile
-                np.matmul(d2, w[:b], out=share[:r])
-                np.matmul(w[:r], d2[:, r:], out=share[r:b])
+            d = buf[: r * (b - a)].reshape(r, b - a)
+            if gram:
+                np.matmul(strip[:r], strip[a:b].T, out=d)
+                d *= -2.0
+                d += sq[start : start + r, None]
+                d += sq[start + a : start + b]
+                np.maximum(d, 0.0, out=d)
+                if a == 0:
+                    np.fill_diagonal(d, 0.0)
+                np.sqrt(d, out=d)
             else:
-                np.sqrt(d2, out=d2)
-                share[:r] += d2 @ w[a:b]
-                np.matmul(w[:r], d2, out=share[a:b])
+                cdist(strip[:r], strip[a:b], out=d)  # exactly 0 on the diagonal
+            if a == 0:
+                share = np.empty(m - start)  # after the ufunc buffers of the first tile
+                np.matmul(d, w[:b], out=share[:r])
+                np.matmul(w[:r], d[:, r:], out=share[r:b])
+            else:
+                share[:r] += d @ w[a:b]
+                np.matmul(w[:r], d, out=share[a:b])
         return share
 
     def add(result):
@@ -496,10 +486,14 @@ def _gram_distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> 
 
 
 def _distinct_rows(x: np.ndarray):
-    """Bitwise-distinct rows of ``x``: (a copy of them, in the order of
-    their first occurrence; position of each row's representative among
-    them; count of each distinct row, as a float weight)."""
+    """Bitwise-distinct rows of ``x``: (them, in the order of their first
+    occurrence; position of each row's representative among them; count of
+    each distinct row, as a float weight). Where no two first entries share
+    their bits, that is ``x`` itself, found without a sort of the rows."""
     n, p = x.shape
+    first = np.sort(x[:, 0].view(np.int64))
+    if (first[1:] != first[:-1]).all():
+        return x, np.arange(n), np.ones(n)
     keys = np.ascontiguousarray(x).view(np.dtype((np.void, 8 * p))).ravel()
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]

@@ -1,3 +1,6 @@
+import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -264,10 +267,9 @@ def _projection_bound(n: int, p: int, threads: int) -> int:
 
 def _check_l2_depth_against_reference(monkeypatch, rng, p, offset, rows):
     """L2 depth of 150 samples, with m = 146 distinct rows, against the
-    oracle under a block budget of ``rows`` x m values: cdist takes blocks
-    of ``rows`` rows, and the Gram path the ``_gram_tiles(146)`` of that
-    budget. The copies of row 3 lie in other blocks than row 3 itself and
-    must get its depth."""
+    oracle under a block budget of ``rows`` x m values, in the
+    ``_gram_tiles(146)`` of that budget. The copies of row 3 lie in other
+    blocks than row 3 itself and must get its depth."""
     monkeypatch.setattr(depth, "_BLOCK_BYTES", 8 * 146 * rows)
     x = rng.standard_normal((150, p)) + offset
     x[[20, 75, 120, 149]] = x[3]
@@ -306,22 +308,22 @@ class TestDepthKernels:
         diff = projection_depth(x, dirs) - projection_depth_reference(x, dirs.directions)
         assert np.max(np.abs(diff)) <= 1e-14
 
-    @pytest.mark.parametrize("p", [depth._L2_GRAM_MIN_P - 1, depth._L2_GRAM_MIN_P, 40])
+    # Either side of _L2_GRAM_MIN_P, and three more dimensions of the Gram form.
+    @pytest.mark.parametrize("p", [depth._L2_GRAM_MIN_P - 1, depth._L2_GRAM_MIN_P, 15, 16, 40])
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     def test_l2_depth_matches_reference(self, monkeypatch, rng, p, offset):
-        # cdist takes blocks of 16 rows; the Gram path blocks of 48 rows in
-        # panels of 48 columns, so it runs over several blocks and panels.
+        # Both tile formulas take blocks of 48 rows in panels of 48 columns,
+        # so they run over several blocks and panels.
         _check_l2_depth_against_reference(monkeypatch, rng, p, offset, rows=16)
 
-    @pytest.mark.parametrize("p", [depth._L2_GRAM_MIN_P - 1, 40])
+    @pytest.mark.parametrize("p", [depth._L2_GRAM_MIN_P - 1, 15, 40])
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     @pytest.mark.parametrize("rows", [1, 7, 146])
     def test_l2_depth_matches_reference_for_any_block_size(
         self, monkeypatch, rng, p, offset, rows
     ):
-        # cdist takes blocks of 1 row, of 7 rows (which do not divide
-        # m = 146) or of all rows; the Gram path tiles of 12 x 12, of 31 x 32
-        # (neither divides m) or one block of all rows.
+        # Tiles of 12 x 12, of 31 x 32 (neither divides m = 146) or one
+        # block of all rows.
         _check_l2_depth_against_reference(monkeypatch, rng, p, offset, rows)
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
@@ -330,15 +332,17 @@ class TestDepthKernels:
         # rows (the last of 12) in panels of 512 columns, up to three per
         # strip: neither count divides m. Row 3's copies sit at positions
         # that block 0's second and third panels and later blocks cover;
-        # they are merged into one weighted row and must get its depth.
+        # they are merged into one weighted row and must get its depth,
+        # from the Gram form at p = 20 and from differences at p = 3.
         rows, width = depth._gram_tiles(1100)
         assert (rows, width) == (64, 512)
-        x = rng.standard_normal((1104, 20)) + offset
-        copies = [100, 600, 1050, 1103]
-        x[copies] = x[3]
-        got = l2_depth(x)
-        assert np.max(np.abs(got - l2_depth_reference(x))) <= 1e-12
-        assert np.unique(got[[3, *copies]]).size == 1
+        for p in (20, 3):
+            x = rng.standard_normal((1104, p)) + offset
+            copies = [100, 600, 1050, 1103]
+            x[copies] = x[3]
+            got = l2_depth(x)
+            assert np.max(np.abs(got - l2_depth_reference(x))) <= 1e-12
+            assert np.unique(got[[3, *copies]]).size == 1
 
     def test_gram_tile_rule(self):
         # Up to m = 512 a block has _block_rows(m) rows and its whole strip
@@ -353,7 +357,31 @@ class TestDepthKernels:
             assert 8 * rows * min(width, m) <= depth._BLOCK_BYTES
             assert width >= rows >= min(m, 64)
 
-    @pytest.mark.parametrize("p", [3, depth._L2_GRAM_MIN_P])
+    @pytest.mark.parametrize(
+        "x, early",
+        [
+            ([[0.5, 1.0], [0.25, 1.0], [-1.0, 2.0]], True),
+            ([[1.0, 1.0], [1.0, 2.0], [3.0, 2.0], [3.0, 1.0]], False),  # the first column ties
+            ([[0.0, 1.0], [-0.0, 1.0]], True),  # the rows differ in the sign of a zero
+            ([[1.0, 0.0], [1.0, -0.0]], False),
+        ],
+    )
+    def test_distinct_rows_early_return_matches_sort(self, x, early):
+        # Every row here is distinct. Where the first column has no two
+        # equal bit patterns, the rows come back as x itself, without a
+        # sort; the sort of whole rows must give the same answer, which a
+        # leading constant column forces.
+        x = np.array(x)
+        n = len(x)
+        got = depth._distinct_rows(x)
+        padded = depth._distinct_rows(np.column_stack([np.zeros(n), x]))
+        assert (got[0] is x) == early
+        for rows, inverse, weights in (got, (padded[0][:, 1:], *padded[1:])):
+            assert np.ascontiguousarray(rows).tobytes() == x.tobytes()
+            assert np.array_equal(inverse, np.arange(n))
+            assert np.array_equal(weights, np.ones(n))
+
+    @pytest.mark.parametrize("p", [3, depth._L2_GRAM_MIN_P, 16])
     def test_l2_depth_extreme_scale(self, rng, p):
         x = rng.standard_normal((120, p))
         big = l2_depth(x * 1e160)
@@ -377,7 +405,7 @@ class TestThreadCount:
     """The kernels split fixed-size blocks over threads; results may not
     depend on the thread count."""
 
-    @pytest.mark.parametrize("n,p", [(201, 7), (333, 13), (400, 40), (2000, 200)])
+    @pytest.mark.parametrize("n,p", [(201, 7), (333, 13), (1100, 5), (400, 40), (2000, 200)])
     def test_bitwise_equal_for_every_thread_count(self, workers_at_any_size, pools, n, p):
         # Over half the samples have x0 = 0, so e0 has zero MAD. It fills
         # the start of block 1, which another worker than block 0's may take.
@@ -416,37 +444,11 @@ class TestThreadCount:
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_failing_block_is_raised_without_deadlock(
-        self, rng, monkeypatch, workers_at_any_size, threads
-    ):
+    def test_failing_block_is_raised_without_deadlock(self, threads):
         # The second tile to take its square roots raises (tiles of 24 rows
         # x 25 columns here), in block 0 or 1. Workers waiting for that
         # block's reduction must be released, and the error re-raised.
-        monkeypatch.setattr(depth, "_BLOCK_BYTES", 8 * 300 * 2)
-        x = rng.standard_normal((300, 20))
-        sqrt, calls, lock = np.sqrt, [], threading.Lock()
-
-        def failing_sqrt(*args, **kwargs):
-            with lock:
-                calls.append(None)
-                if len(calls) == 2:
-                    raise MemoryError("second block")
-            return sqrt(*args, **kwargs)
-
-        monkeypatch.setattr(np, "sqrt", failing_sqrt)
-        outcome = []
-
-        def call():
-            try:
-                l2_depth(x, threads)
-            except MemoryError as exc:
-                outcome.append(exc)
-
-        helper = threading.Thread(target=call, daemon=True)
-        helper.start()
-        helper.join(10.0)
-        assert not helper.is_alive(), "l2_depth did not return within 10 s"
-        assert [str(exc) for exc in outcome] == ["second block"]
+        assert _in_child(_failing_gram_tile, threads) == ["second block"]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("kernel", ["projection", "cdist"])
@@ -469,24 +471,16 @@ class TestThreadCount:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, failing)
-        x = rng.standard_normal((300, 5))  # 10 projection blocks, 3 cdist blocks
+        x = rng.standard_normal((300, 5))  # 10 projection blocks, 3 L2 blocks of one tile each
         dirs = sample_directions(5, 1000, seed=0)
-        outcome = []
 
         def call():
-            try:
-                if kernel == "projection":
-                    projection_depth(x, dirs, threads)
-                else:
-                    l2_depth(x, threads)
-            except MemoryError as exc:
-                outcome.append(exc)
+            if kernel == "projection":
+                projection_depth(x, dirs, threads)
+            else:
+                l2_depth(x, threads)
 
-        helper = threading.Thread(target=call, daemon=True)
-        helper.start()
-        helper.join(10.0)
-        assert not helper.is_alive(), f"the {kernel} path did not return within 10 s"
-        assert [str(exc) for exc in outcome] == ["second call"]
+        assert _memory_errors(call, f"the {kernel} path") == ["second call"]
 
     def test_no_block_is_handed_out_after_a_failure(self, rng, monkeypatch, workers_at_any_size):
         # 46 projection blocks of two medians each; the second median call
@@ -535,9 +529,10 @@ class TestThreadCount:
         assert pools == [3, 2]
 
     def test_small_inputs_run_inline(self, rng, pools):
-        # Blocks of 0.16M to 1.3M multiply-adds, too few to pay for a second
-        # worker: 400 x 40 has 5 Gram strips and 13 projection blocks of 81
-        # directions, 2000 x 5 has 125 cdist blocks.
+        # Blocks of 0.15M to 1.4M multiply-adds, too few to pay for a second
+        # worker: 400 x 40 has 5 L2 blocks of one Gram tile each and 13
+        # projection blocks of 81 directions, 2000 x 5 has 32 L2 blocks of
+        # 64 rows in 80 difference tiles.
         for n, p in [(400, 40), (200, 5), (1000, 40), (2000, 5)]:
             x = rng.standard_normal((n, p))
             projection_depth(x, sample_directions(p, 1000, seed=0), 2)
@@ -699,21 +694,12 @@ class TestMapInOrder:
     def _map(work, reduce, blocks, threads):
         """``_map_in_order`` over ``range(blocks)`` on ``threads`` workers,
         called on a helper thread; the MemoryError it raised, if any."""
-        outcome = []
-
-        def call():
-            try:
-                depth._map_in_order(
-                    lambda: work, reduce, range(blocks), blocks, threads, depth._PARALLEL_WORK
-                )
-            except MemoryError as exc:
-                outcome.append(exc)
-
-        helper = threading.Thread(target=call, daemon=True)
-        helper.start()
-        helper.join(10.0)
-        assert not helper.is_alive(), "_map_in_order did not return within 10 s"
-        return [str(exc) for exc in outcome]
+        return _memory_errors(
+            lambda: depth._map_in_order(
+                lambda: work, reduce, range(blocks), blocks, threads, depth._PARALLEL_WORK
+            ),
+            "_map_in_order",
+        )
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_reduces_in_block_order_when_later_blocks_finish_first(self, pools, threads):
@@ -766,36 +752,116 @@ class TestMapInOrder:
         # 1 + _LOOKAHEAD has started: the other workers then wait for
         # block 1's reduction and must be released. Nothing more is handed
         # out or reduced, and the error is raised once.
-        blocks, taken, reduced = 40, [], []
-        last = 1 + depth._LOOKAHEAD
-        started = threading.Event()
-
-        def work(block):
-            taken.append(block)
-            if block == last:
-                started.set()
-            if block == 1:
-                assert started.wait(10.0)
-                time.sleep(0.05)
-                if where == "block":
-                    raise MemoryError("block 1")
-            return block
-
-        def reduce(block):
-            reduced.append(block)
-            if block == 1:
-                raise MemoryError("block 1")
-
-        assert self._map(work, reduce, blocks, threads) == ["block 1"]
-        assert max(taken) == last
+        raised, taken, reduced = _in_child(_failing_map, threads, where)
+        assert raised == ["block 1"]
+        assert max(taken) == 1 + depth._LOOKAHEAD
         assert reduced == ([0] if where == "block" else [0, 1])
+
+
+def _memory_errors(call, name: str) -> "list[str]":
+    """The message of the MemoryError that ``call()`` raised, if any. It is
+    called on a helper thread and must return within 10 s."""
+    outcome = []
+
+    def run():
+        try:
+            call()
+        except MemoryError as exc:
+            outcome.append(str(exc))
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(10.0)
+    assert not helper.is_alive(), f"{name} did not return within 10 s"
+    return outcome
+
+
+_CHILD = """\
+import json, os, sys, traceback
+import {module} as tests
+status = 1
+try:
+    print(json.dumps(tests.{function}(*{args!r})))
+    status = 0
+except Exception:
+    traceback.print_exc()
+sys.stdout.flush()
+sys.stderr.flush()
+os._exit(status)  # without joining pool threads that a deadlock left stuck
+"""
+
+
+def _in_child(function, *args):
+    """``function(*args)``, which returns JSON data, in a fresh interpreter.
+    Stuck pool threads of a deadlocked failure path then cannot keep this
+    one from exiting: the child exits without joining them, and a child
+    that hangs anyway is killed after 60 s and fails the test."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(depth.__file__)))
+    path = os.pathsep.join(filter(None, [tests, src, os.environ.get("PYTHONPATH")]))
+    code = _CHILD.format(module=function.__module__, function=function.__name__, args=args)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60.0,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{function.__name__}{args} did not end within 60 s")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _failing_map(threads: int, where: str):
+    """The failure case of ``TestMapInOrder``: (the errors raised, the
+    blocks taken, the blocks reduced). Run it through ``_in_child``."""
+    blocks, taken, reduced = 40, [], []
+    last = 1 + depth._LOOKAHEAD
+    started = threading.Event()
+
+    def work(block):
+        taken.append(block)
+        if block == last:
+            started.set()
+        if block == 1:
+            assert started.wait(10.0)
+            time.sleep(0.05)
+            if where == "block":
+                raise MemoryError("block 1")
+        return block
+
+    def reduce(block):
+        reduced.append(block)
+        if block == 1:
+            raise MemoryError("block 1")
+
+    return TestMapInOrder._map(work, reduce, blocks, threads), taken, reduced
+
+
+def _failing_gram_tile(threads: int) -> "list[str]":
+    """The errors that L2 depth of 300 x 20 raised on ``threads`` workers,
+    when its second square root raises. It patches the module and numpy for
+    good, so run it through ``_in_child``."""
+    depth._BLOCK_BYTES = 8 * 300 * 2
+    depth._PARALLEL_WORK = 0  # workers at any size
+    x = np.random.default_rng(20240501).standard_normal((300, 20))
+    sqrt, calls, lock = np.sqrt, [], threading.Lock()
+
+    def failing_sqrt(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            if len(calls) == 2:
+                raise MemoryError("second block")
+        return sqrt(*args, **kwargs)
+
+    np.sqrt = failing_sqrt
+    return _memory_errors(lambda: l2_depth(x, threads), "l2_depth")
 
 
 @st.composite
 def _l2_inputs(draw):
     """Sample matrices with duplicate rows, a block budget and a thread count."""
     n = draw(st.integers(2, 300))
-    p = draw(st.sampled_from([1, 3, 15, *range(16, 49)]))
+    p = draw(st.sampled_from([1, 3, *range(depth._L2_GRAM_MIN_P - 1, 49)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         x = rng.standard_normal((n, p))
