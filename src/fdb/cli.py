@@ -285,7 +285,6 @@ def _estimate_document(report, args, x, k, threads):
         "sigma": [[float(v) for v in row] for row in report.estimate.sigma],
         "subset": [int(i) for i in report.subset],
         "weights": None if report.weights is None else [int(w) for w in report.weights],
-        "c0": None if report.c0 is None else float(report.c0),
         "c1": float(report.c1),
         "elapsed_seconds": float(report.elapsed_seconds),
     }

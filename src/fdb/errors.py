@@ -2,8 +2,8 @@
 
 Every error raised by the library derives from :class:`FdbError`, so callers
 (notably the CLI) can separate computation failures from programming errors.
-Multi-step estimators attach the name of the failing pipeline stage to the
-exception via the ``stage`` attribute before re-raising.
+Every error raised inside ``fdb_estimate`` or ``fastmcd_baseline`` carries
+the name of its pipeline stage as ``stage``; other errors leave it ``None``.
 """
 
 

@@ -133,21 +133,27 @@ class ReweightResult:
 class EstimationReport:
     """Full record of one estimation run: the ``estimate`` returned (the
     reweighted one, else the c1-scaled h-subset one), the h-``subset``, the
-    reweighting's 0/1 ``weights`` and ``c0`` (``None`` without it), ``c1``,
-    the seconds of the run and of its subset pursuit, and the ``method``.
-    ``mahalanobis_sq(x, report.estimate)`` gives the distances. Both
-    pipelines take c0 from distances already divided by c1, so it is 1 up
-    to rounding (1 or 1 +- 2**-52 at 200 x 5, 400 x 40 and 2000 x 200);
-    the reweighted scatter gets no consistency factor of its own."""
+    reweighting's 0/1 ``weights`` (``None`` without it), ``c1``, the
+    ``method`` and ``stage_seconds``, the seconds of each pipeline stage in
+    the order run: input, depth (fdb only), subset, scatter, scaling, and
+    reweight if run. ``mahalanobis_sq(x, report.estimate)`` gives distances.
+    The reweighted scatter gets no consistency factor of its own."""
 
     estimate: LocationScatter
     subset: np.ndarray
     weights: "np.ndarray | None"
-    c0: "float | None"
     c1: float
-    elapsed_seconds: float
-    subset_seconds: float
+    stage_seconds: "dict[str, float]"
     method: str
+
+    @property
+    def elapsed_seconds(self) -> float:
+        return sum(self.stage_seconds.values())
+
+    @property
+    def subset_seconds(self) -> float:
+        """The seconds up to the h-subset: input, depth and subset."""
+        return sum(self.stage_seconds.get(name, 0.0) for name in ("input", "depth", "subset"))
 
 
 def _checked_subset_size(h: int, n: int, p: int) -> int:
@@ -158,14 +164,17 @@ def _checked_subset_size(h: int, n: int, p: int) -> int:
 
 
 @contextmanager
-def _stage(name: str):
-    # Tags propagated errors with the pipeline stage that raised them.
+def _stage(name: str, seconds: dict):
+    # One pipeline stage: tags a propagating FdbError with the stage's name
+    # and records the stage's seconds in seconds[name].
+    start = time.perf_counter()
     try:
         yield
     except FdbError as err:
         if err.stage is None:
             err.stage = name
         raise
+    seconds[name] = time.perf_counter() - start
 
 
 def _moments(x: np.ndarray, idx: np.ndarray, div: int, work: "np.ndarray | None" = None):
@@ -176,14 +185,12 @@ def _moments(x: np.ndarray, idx: np.ndarray, div: int, work: "np.ndarray | None"
     # mean still adds its m rows in order, as a mean of one (m, p) set does.
     # They go into ``work`` (flat, at least m * B * p) when it is given: a
     # stack's rows are too large for the allocator to keep, and allocating
-    # them afresh faulted in every page of them on every call.
-    if work is None:
-        rows = np.take(x, idx.T, axis=0)
-    else:
-        shape = (idx.shape[1], idx.shape[0], x.shape[1])
-        # mode="clip" gathers straight into work, where the default mode
-        # goes through a buffer; the starts' indices are in range.
-        rows = np.take(x, idx.T, axis=0, out=work[: math.prod(shape)].reshape(shape), mode="clip")
+    # them afresh faulted in every page of them on every call. mode="clip"
+    # gathers straight into the buffer, where the default mode goes through
+    # one of its own; every caller's indices are in range.
+    shape = (idx.shape[1], idx.shape[0], x.shape[1])
+    rows = np.empty(shape) if work is None else work[: math.prod(shape)].reshape(shape)
+    np.take(x, idx.T, axis=0, out=rows, mode="clip")
     # An overflow here makes sigma non-finite, which its factorization
     # reports as NonFiniteValues; numpy need not warn of it first.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -381,23 +388,22 @@ def reweight(data, ls: LocationScatter) -> ReweightResult:
     (sum of weights - 1) with no further correction factor.
     """
     x = np.asarray(data, dtype=float)
-    return _reweight(x, mahalanobis_sq(x, ls), ls.p)
+    d2 = mahalanobis_sq(x, ls)
+    c0 = _consistency_factor(d2, ls.p, "calibrate weights")
+    weights, estimate = _reweight(x, d2 / c0, ls.p)
+    return ReweightResult(weights, c0, estimate)
 
 
-def _reweight(x: np.ndarray, d2: np.ndarray, p: int) -> ReweightResult:
-    # reweight, given the squared distances d2 of x under the estimate.
-    # The estimators pass distances under the c1-scaled scatter, so their
-    # c0 is 1 up to rounding; only ``reweight`` of another estimate gets a
-    # c0 that rescales.
-    c0 = _consistency_factor(d2, p, "calibrate weights")
-    weights = (d2 / c0 <= numeric.chi_square_quantile(p, 0.975)).astype(np.int8)
+def _reweight(x: np.ndarray, d2: np.ndarray, p: int):
+    # The 0/1 weights of the rows of x whose squared distances d2 lie within
+    # the chi2_{p,0.975} cutoff, and the estimate of the rows they keep.
+    weights = (d2 <= numeric.chi_square_quantile(p, 0.975)).astype(np.int8)
     kept = int(weights.sum())
     if kept <= p + 1:
         raise TooFewWeightedSamples(
             f"reweighting kept {kept} samples, need more than {p + 1}"
         )
-    estimate = subset_mean_cov(x, np.flatnonzero(weights), "h-1")
-    return ReweightResult(weights, c0, estimate)
+    return weights, subset_mean_cov(x, np.flatnonzero(weights), "h-1")
 
 
 def _consistency_factor(d2: np.ndarray, p: int, purpose: str) -> float:
@@ -410,42 +416,28 @@ def _consistency_factor(d2: np.ndarray, p: int, purpose: str) -> float:
 
 
 def _finish_report(
-    data,
-    subset: np.ndarray,
-    do_reweight: bool,
-    t0: float,
-    t_subset: float,
-    method: str,
+    x: np.ndarray, subset: np.ndarray, do_reweight: bool, method: str, seconds: dict
 ) -> EstimationReport:
-    # Shared tail of both estimators: h-denominator scatter, c1 scaling,
-    # optional reweighting and timings. Distances under c1 * sigma0 are
-    # those under sigma0 divided by c1, so sigma0's pass is the only one.
-    with _stage("scatter"):
-        raw = subset_mean_cov(data, subset, "h")
-    with _stage("scaling"):
-        d2 = mahalanobis_sq(data, raw)
+    # Shared tail of both estimators, whose stages it adds to seconds:
+    # h-denominator scatter, c1 scaling and optional reweighting. Distances
+    # under c1 * sigma0 are those under sigma0 divided by c1, so sigma0's
+    # pass is the only one; the reweighting cuts them as they are.
+    with _stage("scatter", seconds):
+        raw = subset_mean_cov(x, subset, "h")
+    with _stage("scaling", seconds):
+        d2 = mahalanobis_sq(x, raw)
         c1 = _consistency_factor(d2, raw.p, "scale scatter")
         with np.errstate(over="ignore"):
             d2 /= c1
         if not np.isfinite(d2).all():
             raise NonFiniteValues("scaled squared distances overflow")
     if do_reweight:
-        with _stage("reweight"):
-            rw = _reweight(data, d2, raw.p)
-        estimate, weights, c0 = rw.estimate, rw.weights, rw.c0
+        with _stage("reweight", seconds):
+            weights, estimate = _reweight(x, d2, raw.p)
     else:
         # The product keeps sigma0's exact symmetry.
-        estimate, weights, c0 = LocationScatter(raw.mu, c1 * raw.sigma), None, None
-    return EstimationReport(
-        estimate=estimate,
-        subset=subset,
-        weights=weights,
-        c0=c0,
-        c1=c1,
-        elapsed_seconds=time.perf_counter() - t0,
-        subset_seconds=t_subset - t0,
-        method=method,
-    )
+        weights, estimate = None, LocationScatter(raw.mu, c1 * raw.sigma)
+    return EstimationReport(estimate, subset, weights, c1, stage_seconds=seconds, method=method)
 
 
 def _depths(x: np.ndarray, config: EstimatorConfig) -> np.ndarray:
@@ -467,25 +459,26 @@ def fdb_estimate(data, config: EstimatorConfig) -> EstimationReport:
 
     Pipeline: depth values -> deepest h-subset -> subset mean and
     h-denominator covariance -> consistency scaling by c1 -> optional
-    reweighting. Timing covers the whole pipeline; ``subset_seconds``
-    covers the subset pursuit only.
+    reweighting, after an input check. Each step runs as a stage: its
+    seconds go into ``stage_seconds``, and an ``FdbError`` raised in it
+    carries its name as ``stage``.
     """
-    t0 = time.perf_counter()
-    x = as_data_matrix(data)
-    n, p = x.shape
-    h = config.resolve_h(n, p)
-    if n <= 5 * p:
-        warnings.warn(
-            f"n={n} samples with p={p} variables; results are unreliable unless n > 5p",
-            stacklevel=2,
-        )
-    with _stage("depth"):
+    seconds = {}
+    with _stage("input", seconds):
+        x = as_data_matrix(data)
+        n, p = x.shape
+        h = config.resolve_h(n, p)
+        if n <= 5 * p:
+            warnings.warn(
+                f"n={n} samples with p={p} variables; results are unreliable unless n > 5p",
+                stacklevel=2,
+            )
+    with _stage("depth", seconds):
         depths = _depths(x, config)
-    with _stage("subset"):
+    with _stage("subset", seconds):
         subset = deepest_subset(depths, h)
-    t_subset = time.perf_counter()
     method = "fdb-pro" if config.depth == "projection" else "fdb-l2"
-    return _finish_report(x, subset, config.reweight, t0, t_subset, method)
+    return _finish_report(x, subset, config.reweight, method, seconds)
 
 
 def _elemental_starts(x: np.ndarray, h: int, n_starts: int, seed: int) -> list:
@@ -540,14 +533,14 @@ def fastmcd_baseline(
     Per-start RNG streams are derived from (seed, start index) so the result
     does not depend on evaluation order.
     """
-    t0 = time.perf_counter()
-    x = as_data_matrix(data)
-    n, p = x.shape
-    _checked_subset_size(checked_integer(h, "subset size", 1), n, p)
-    checked_integer(n_starts, "start count", 1)
-    checked_integer(seed, "seed", 0)
-
-    with _stage("subset"):
+    seconds = {}
+    with _stage("input", seconds):
+        x = as_data_matrix(data)
+        n, p = x.shape
+        _checked_subset_size(checked_integer(h, "subset size", 1), n, p)
+        checked_integer(n_starts, "start count", 1)
+        checked_integer(seed, "seed", 0)
+    with _stage("subset", seconds):
         candidates = _elemental_starts(x, h, n_starts, seed)
         if not candidates:
             raise DegenerateData("every elemental start produced a singular covariance")
@@ -569,8 +562,7 @@ def fastmcd_baseline(
                 best_subset = subset
         if best_subset is None:
             raise DegenerateData("no start could be concentrated to a non-singular subset")
-    t_subset = time.perf_counter()
-    return _finish_report(x, best_subset, reweight_estimate, t0, t_subset, "fastmcd")
+    return _finish_report(x, best_subset, reweight_estimate, "fastmcd", seconds)
 
 
 # Chunk bound for the exhaustive oracle: at most this many subset index

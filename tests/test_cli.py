@@ -59,7 +59,7 @@ class TestEstimate:
         assert code == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["mu"] == [0.0, 0.0]
-        assert doc["c0"] is None and doc["weights"] is None
+        assert "c0" not in doc and doc["weights"] is None
         assert doc["c1"] > 0
         assert doc["subset"] == [0, 1, 2, 3]
         assert doc["threads"] >= 1
@@ -80,10 +80,10 @@ class TestEstimate:
         assert main(["estimate", "--input", sample_csv, "--output", str(out)]) == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         required = {
-            "mu", "sigma", "subset", "weights", "c0", "c1", "method",
+            "mu", "sigma", "subset", "weights", "c1", "method",
             "alpha", "k", "seed", "elapsed_seconds", "threads",
         }
-        assert required <= set(doc)
+        assert required <= set(doc) and "c0" not in doc
         assert len(doc["mu"]) == 4
         assert len(doc["sigma"]) == 4 and len(doc["sigma"][0]) == 4
         assert doc["k"] == 1000  # auto rule at p = 4

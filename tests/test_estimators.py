@@ -476,6 +476,18 @@ class TestReweight:
         with pytest.raises(TooFewWeightedSamples):
             reweight(x, LocationScatter(np.zeros(2), 1e-4 * np.eye(2)))
 
+    def test_c0_rescales_an_uncalibrated_estimate(self, rng):
+        # The estimators' c1-scaled estimate is calibrated, so twice its
+        # scatter halves every distance: c0 reads 0.5 and the weights are
+        # the estimator's own.
+        x = rng.standard_normal((300, 6))
+        x[:40] += 8.0
+        report = fdb_estimate(x, EstimatorConfig(seed=2))
+        raw = subset_mean_cov(x, report.subset, "h")
+        loose = reweight(x, LocationScatter(raw.mu, 2 * report.c1 * raw.sigma))
+        assert loose.c0 == pytest.approx(0.5, rel=1e-12)
+        assert np.array_equal(loose.weights, report.weights)
+
 
 class TestFdbEstimate:
     def test_symmetric_cross_raw_mean_exact(self):
@@ -483,7 +495,7 @@ class TestFdbEstimate:
         with pytest.warns(UserWarning):  # n = 4 <= 5p
             report = fdb_estimate(CROSS, config)
         assert np.array_equal(report.estimate.mu, np.zeros(2))
-        assert report.c0 is None and report.weights is None
+        assert report.weights is None
 
     def test_grid_with_outliers_matches_enumeration(self):
         # Point-symmetric grid: three inner pairs plus one far pair on the
@@ -509,7 +521,7 @@ class TestFdbEstimate:
         report = fdb_estimate(x, EstimatorConfig(seed=3))
         assert report.subset.size == 150
         assert report.weights.sum() >= 5 + 2
-        assert report.c0 > 0 and report.c1 > 0
+        assert report.c1 > 0
         assert report.elapsed_seconds >= report.subset_seconds >= 0.0
         assert report.method == "fdb-pro"
 
@@ -547,7 +559,6 @@ class TestFdbEstimate:
         if do_reweight:
             direct = reweight(x, scaled)
             assert np.array_equal(report.weights, direct.weights)
-            assert report.c0 == pytest.approx(direct.c0, rel=1e-13)
             assert np.array_equal(report.estimate.sigma, direct.estimate.sigma)
         else:
             assert np.array_equal(report.estimate.sigma, scaled.sigma)
@@ -608,10 +619,57 @@ class TestFdbEstimate:
         # the truth and the reweighted eigenvalues stay close to one.
         x = rng.standard_normal((10_000, 20))
         report = fdb_estimate(x, EstimatorConfig(alpha=0.75, seed=5))
-        assert 0.8 < report.c0 < 1.3
         assert 0.8 < report.c1 < 1.3
         eigenvalues = np.linalg.eigvalsh(report.estimate.sigma)
         assert np.all(np.abs(eigenvalues - 1.0) <= 0.15)
+
+
+def _run(method, x, do_reweight=True):
+    if method == "fastmcd":
+        return fastmcd_baseline(x, int(0.75 * len(x)), n_starts=20, reweight_estimate=do_reweight)
+    depth = "projection" if method == "fdb-pro" else "l2"
+    return fdb_estimate(x, EstimatorConfig(depth=depth, k=100, reweight=do_reweight))
+
+
+def _degenerate_inputs():
+    rng = np.random.default_rng(26)
+    nan = rng.standard_normal((50, 3))
+    nan[4, 1] = np.nan
+    exact_fit = rng.standard_normal((300, 3))
+    exact_fit[:250] = exact_fit[0]
+    zero_mad = np.zeros((100, 3))  # every projection has a MAD of 0
+    zero_mad[:30] = rng.standard_normal((30, 3))
+    return {
+        "nan": nan,
+        "one-dimensional": rng.standard_normal(50),
+        "n-at-most-p": rng.standard_normal((3, 5)),
+        "exact-fit": exact_fit,
+        "zero-mad": zero_mad,
+    }
+
+
+class TestStages:
+    @pytest.mark.parametrize("method", ["fdb-pro", "fdb-l2", "fastmcd"])
+    @pytest.mark.parametrize("do_reweight", [True, False])
+    def test_stage_keys_and_seconds(self, rng, method, do_reweight):
+        report = _run(method, rng.standard_normal((120, 3)), do_reweight)
+        keys = ["input", "depth", "subset", "scatter", "scaling", "reweight"]
+        if method == "fastmcd":
+            keys.remove("depth")
+        if not do_reweight:
+            keys.remove("reweight")
+        assert list(report.stage_seconds) == keys
+        assert all(seconds >= 0.0 for seconds in report.stage_seconds.values())
+        assert report.elapsed_seconds == sum(report.stage_seconds.values())
+        assert 0.0 <= report.subset_seconds <= report.elapsed_seconds
+
+    @pytest.mark.parametrize("method", ["fdb-pro", "fdb-l2", "fastmcd"])
+    @pytest.mark.parametrize("case", list(_degenerate_inputs()))
+    def test_every_error_carries_a_stage(self, method, case):
+        with pytest.raises(FdbError) as exc, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the n <= 5p warning
+            _run(method, _degenerate_inputs()[case])
+        assert exc.value.stage is not None
 
 
 class TestEstimatorConfig:
@@ -728,7 +786,7 @@ class TestFastMcdBaseline:
         assert np.array_equal(a.estimate.mu, b.estimate.mu)
         assert np.array_equal(a.estimate.sigma, b.estimate.sigma)
         assert np.array_equal(a.weights, b.weights)
-        assert a.c0 == b.c0 and a.c1 == b.c1
+        assert a.c1 == b.c1
 
     def test_peak_does_not_grow_with_start_count(self, rng):
         # Only (log-det, start, subset) is kept per start; the ten best
