@@ -488,21 +488,12 @@ def _distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> np.nd
 def _distinct_rows(x: np.ndarray):
     """Bitwise-distinct rows of ``x``: (them, in the order of their first
     occurrence; position of each row's representative among them; count of
-    each distinct row, as a float weight). Where no two rows share the bits
-    of their first entry, or of a mix of their first two, that is ``x``
-    itself, found without a sort of the rows."""
+    each distinct row, as a float weight). Where no two first entries share
+    their bits, that is ``x`` itself, found without a sort of the rows."""
     n, p = x.shape
     first = np.sort(x[:, 0].view(np.int64))
     if (first[1:] != first[:-1]).all():
         return x, np.arange(n), np.ones(n)
-    if p > 1:
-        # Rows with equal first two entries have equal mixes, so rows whose
-        # mixes differ are distinct, as in a rounded first column.
-        mix = x[:, 1].view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        mix ^= x[:, 0].view(np.uint64)
-        mix.sort()
-        if (mix[1:] != mix[:-1]).all():
-            return x, np.arange(n), np.ones(n)
     keys = np.ascontiguousarray(x).view(np.dtype((np.void, 8 * p))).ravel()
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]

@@ -361,37 +361,25 @@ class TestDepthKernels:
         "x, early",
         [
             ([[0.5, 1.0], [0.25, 1.0], [-1.0, 2.0]], True),
-            # the first two columns tie
-            ([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [3.0, 2.0, 1.0], [3.0, 1.0, 1.0]], False),
+            ([[1.0, 1.0], [1.0, 2.0], [3.0, 2.0], [3.0, 1.0]], False),  # the first column ties
             ([[0.0, 1.0], [-0.0, 1.0]], True),  # the rows differ in the sign of a zero
-            ([[1.0, 2.0, 0.0], [1.0, 2.0, -0.0]], False),
+            ([[1.0, 0.0], [1.0, -0.0]], False),
         ],
     )
     def test_distinct_rows_early_return_matches_sort(self, x, early):
-        # Every row here is distinct. Where no two rows share the bits of
-        # their first entry, or of their first two, the rows come back as x
-        # itself, without a sort; the sort of whole rows must give the same
-        # answer, which two leading constant columns force.
+        # Every row here is distinct. Where the first column has no two
+        # equal bit patterns, the rows come back as x itself, without a
+        # sort; the sort of whole rows must give the same answer, which a
+        # leading constant column forces.
         x = np.array(x)
         n = len(x)
         got = depth._distinct_rows(x)
-        padded = depth._distinct_rows(np.column_stack([np.zeros((n, 2)), x]))
+        padded = depth._distinct_rows(np.column_stack([np.zeros(n), x]))
         assert (got[0] is x) == early
-        for rows, inverse, weights in (got, (padded[0][:, 2:], *padded[1:])):
+        for rows, inverse, weights in (got, (padded[0][:, 1:], *padded[1:])):
             assert np.ascontiguousarray(rows).tobytes() == x.tobytes()
             assert np.array_equal(inverse, np.arange(n))
             assert np.array_equal(weights, np.ones(n))
-
-    def test_distinct_rows_with_a_rounded_first_column_are_x(self, rng):
-        # The first column ties, and the second tells every row apart.
-        x = rng.standard_normal((200, 5))
-        x[:, 0] = np.round(x[:, 0], 1)
-        rows, inverse, weights = depth._distinct_rows(x)
-        assert rows is x
-        assert np.array_equal(inverse, np.arange(200)) and np.array_equal(weights, np.ones(200))
-        x[7] = x[3]
-        rows, inverse, _ = depth._distinct_rows(x)
-        assert len(rows) == 199 and inverse[7] == inverse[3] == 3
 
     @pytest.mark.parametrize("p", [3, depth._L2_GRAM_MIN_P, 16])
     def test_l2_depth_extreme_scale(self, rng, p):

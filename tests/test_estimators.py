@@ -660,7 +660,6 @@ class TestStages:
             keys.remove("reweight")
         assert list(report.stage_seconds) == keys
         assert all(seconds >= 0.0 for seconds in report.stage_seconds.values())
-        assert report.elapsed_seconds == sum(report.stage_seconds.values())
         assert 0.0 <= report.subset_seconds <= report.elapsed_seconds
 
     @pytest.mark.parametrize("method", ["fdb-pro", "fdb-l2", "fastmcd"])
