@@ -331,7 +331,7 @@ def projection_depth(
 
     def start_worker():
         proj = np.empty((rows, n))  # one direction per row
-        work = np.empty((rows, n))  # partitioned copy for the medians
+        work = np.empty((rows, n))  # sorted or partitioned copy for the medians
 
         def block_max(block):
             """Each sample's largest outlyingness over ``block``, and

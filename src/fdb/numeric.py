@@ -46,6 +46,29 @@ def _as_finite_vector(values) -> np.ndarray:
     return v
 
 
+# Rows of at most this length are sorted whole by ``row_medians``; longer
+# rows get one selection. numpy's SIMD sort returns both central order
+# statistics of a row in one call, where a single-kth SIMD quickselect
+# needs a max over the left half for the lower one of an even length. The
+# median plus MAD of one block, copies included, took (one BLAS thread,
+# AVX-512 Xeon, numpy 2.4, medians of 300 alternating calls):
+#
+#   block      sort (us)  partition (us)
+#   163 x 200     181         244
+#   128 x 256     175         261
+#   108 x 300     237         233
+#    81 x 400     274         291
+#    64 x 512     294         276
+#    50 x 2000    910         518
+#
+# From 300 on the gain is under 10% or a loss, so those rows keep the
+# selection. The sort path leans on numpy's SIMD sort: with its dispatch
+# off (NPY_DISABLE_CPU_FEATURES=X86_V3) sorting 163 x 200 took 1150 us,
+# 2.7x the 430 us of partitioning it, so a build without SIMD sort loses
+# time on short rows, though not bits.
+_SORT_MAX_N = 256
+
+
 def row_medians(values: np.ndarray, work: "np.ndarray | None" = None) -> np.ndarray:
     """Median along the last axis; a 1-d array is one row.
 
@@ -53,12 +76,13 @@ def row_medians(values: np.ndarray, work: "np.ndarray | None" = None) -> np.ndar
     up to the sign of a zero median: which of the equal ±0.0 lands in the
     middle depends on the selection. A NaN ranks above every number, where
     np.median would return NaN. ``work`` (same shape as ``values``) receives
-    a partitioned copy; without it a new copy is made.
+    a sorted copy for rows of at most ``_SORT_MAX_N`` values and a
+    partitioned one for longer rows; without it a new copy is made.
 
-    One selection at n // 2: numpy runs a single kth through its SIMD
-    quickselect but a tuple of kth values through the slower introselect.
-    For even n the lower central value is then the largest of the n // 2
-    values left of it, and a maximum is exact.
+    Longer rows take one selection at n // 2: numpy runs a single kth
+    through its SIMD quickselect but a tuple of kth values through the
+    slower introselect. For even n the lower central value is then the
+    largest of the n // 2 values left of it, and a maximum is exact.
     """
     n = values.shape[-1]
     hi = n // 2
@@ -66,11 +90,16 @@ def row_medians(values: np.ndarray, work: "np.ndarray | None" = None) -> np.ndar
         work = values.copy()
     else:
         np.copyto(work, values)
-    work.partition(hi, axis=-1)
+    short = n <= _SORT_MAX_N
+    if short:
+        work.sort(axis=-1)
+    else:
+        work.partition(hi, axis=-1)
     upper = work[..., hi]
     if n % 2:
         return upper.copy()
-    return (work[..., :hi].max(axis=-1) + upper) / 2.0
+    lower = work[..., hi - 1] if short else work[..., :hi].max(axis=-1)
+    return (lower + upper) / 2.0
 
 
 def median(values) -> float:

@@ -13,7 +13,7 @@ import scipy.spatial.distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdb import depth
+from fdb import depth, numeric
 from fdb.estimators import EstimatorConfig, fdb_estimate
 from fdb.depth import (
     DirectionSet,
@@ -297,6 +297,23 @@ class TestDepthKernels:
         directions[[0, 3, *range(7, 14)]] = [1.0, 0.0, 0.0]
         if rows is not None:
             monkeypatch.setattr(depth, "_BLOCK_BYTES", 8 * n * rows)
+        got = projection_depth(x, directions)
+        assert np.array_equal(got, projection_depth_reference(x, directions))
+
+    # The last row length whose medians come from a sort, and the first
+    # whose medians come from a selection.
+    @pytest.mark.parametrize("n", [numeric._SORT_MAX_N, numeric._SORT_MAX_N + 1])
+    @pytest.mark.parametrize("kind", ["gaussian", "integer"])
+    def test_projection_depth_bitwise_equals_reference_either_side_of_sort(self, rng, n, kind):
+        # Axis-aligned directions project onto one coordinate, which is
+        # exact, so the kernels must agree bit for bit. Integers in -3..3
+        # put ties in every row; the negated first two axes repeat their MADs.
+        p = 4
+        if kind == "gaussian":
+            x = rng.standard_normal((n, p))
+        else:
+            x = rng.integers(-3, 4, size=(n, p)).astype(float)
+        directions = np.vstack([np.eye(p), -np.eye(p)[:2]])
         got = projection_depth(x, directions)
         assert np.array_equal(got, projection_depth_reference(x, directions))
 

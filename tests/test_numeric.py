@@ -91,12 +91,17 @@ def _median_rows(n, rng):
     )
 
 
+# Either side of numeric._SORT_MAX_N (256), where row_medians turns from a
+# sort to a single-kth selection, and the short and long rows beyond it.
+_ROW_LENGTHS = [1, 2, 3, 255, 256, 257, 400, 2000, 2001]
+
+
 class TestRowMedians:
     """``row_medians`` against np.median. For NaN-free floats, == holds
     exactly when the bits agree or both values are zeros of either sign, so
     array_equal checks bit equality up to the sign of a zero median."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 2000, 2001])
+    @pytest.mark.parametrize("n", _ROW_LENGTHS)
     def test_equals_np_median(self, rng, n):
         values = _median_rows(n, rng)
         before = values.copy()
@@ -104,12 +109,12 @@ class TestRowMedians:
         want = np.median(values, axis=1)
         assert np.array_equal(row_medians(values, work), want)
         assert np.array_equal(row_medians(values), want)
-        assert np.array_equal(values, before)
         for row, expected in zip(values, want):
             assert np.array_equal(row_medians(row), expected)
             assert median(row) == expected
+        assert np.array_equal(values, before)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 2000, 2001])
+    @pytest.mark.parametrize("n", _ROW_LENGTHS)
     def test_mad_bitwise_equals_np_median(self, rng, n):
         # Absolute deviations carry no negative zero, so here the bits agree.
         values = _median_rows(n, rng)
@@ -119,6 +124,29 @@ class TestRowMedians:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         for row, expected in zip(values, want):
             assert np.float64(mad(row)).view(np.int64) == expected.view(np.int64)
+
+    @pytest.mark.parametrize("n", _ROW_LENGTHS)
+    def test_nan_ranks_above_every_number(self, rng, n):
+        # With (n - 1) // 2 NaNs per row both central values stay numbers,
+        # and the median is that of the row with each NaN read as +inf; with
+        # n - n // 2 NaNs the upper central value is a NaN.
+        values = _median_rows(n, rng)
+        for count, finite in [((n - 1) // 2, True), (n - n // 2, False)]:
+            with_nan = values.copy()
+            for row in with_nan:
+                row[rng.choice(n, size=count, replace=False)] = np.nan
+            before = with_nan.copy()
+            if finite:
+                want = np.median(np.where(np.isnan(with_nan), np.inf, with_nan), axis=1)
+            else:
+                want = np.full(len(values), np.nan)
+            for medians in (
+                row_medians(with_nan),
+                row_medians(with_nan, np.empty_like(with_nan)),
+                np.array([row_medians(row) for row in with_nan]),
+            ):
+                assert np.array_equal(medians, want, equal_nan=True)
+            assert np.array_equal(with_nan, before, equal_nan=True)
 
 
 class TestSmallest:
