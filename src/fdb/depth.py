@@ -203,7 +203,7 @@ def as_data_matrix(data, name: str = "sample matrix") -> np.ndarray:
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or 0 in x.shape:
         raise DimensionError(f"expected a nonempty 2-d {name}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteValues(f"{name} contains non-finite entries")
     return x
 
@@ -367,7 +367,7 @@ def projection_depth(
     return 1.0 / (1.0 + outlyingness)
 
 
-def l2_depth(data, threads: "int | None" = None, *, return_mean_distance: bool = False):
+def l2_depth(data, threads: "int | None" = None) -> np.ndarray:
     """Exact sample L2 depth: 1 / (1 + mean Euclidean distance to the sample).
 
     Data of extreme scale are first scaled by a power of two, which is
@@ -379,17 +379,21 @@ def l2_depth(data, threads: "int | None" = None, *, return_mean_distance: bool =
     and their terms are added in block order, so the depths are bitwise
     equal for every count.
 
-    With ``return_mean_distance`` the result is (depths, mean distances).
-    The depth rounds to 1 for mean distances below 2**-53, so tiny data
-    have to be ranked by the distances.
+    The depth rounds to 1 for mean distances below 2**-53, so the
+    estimators rank tiny data by the distances, ``_mean_distances``.
     """
-    x = as_data_matrix(data)
+    return 1.0 / (1.0 + _mean_distances(as_data_matrix(data), threads))
+
+
+def _mean_distances(x: np.ndarray, threads: "int | None") -> np.ndarray:
+    """Mean Euclidean distance from each row of the checked matrix ``x`` to
+    all rows, of which ``l2_depth`` is 1 / (1 + d)."""
     exponent = math.frexp(max(x.max(), -x.min()))[1]
     if abs(exponent) <= _UNSCALED_EXPONENT:
         exponent = 0
-    mean_dist = np.ldexp(_distance_sums(x, exponent, threads) / x.shape[0], exponent)
-    depths = 1.0 / (1.0 + mean_dist)
-    return (depths, mean_dist) if return_mean_distance else depths
+    mean_dist = _distance_sums(x, exponent, threads)
+    mean_dist /= x.shape[0]
+    return np.ldexp(mean_dist, exponent, out=mean_dist) if exponent else mean_dist
 
 
 def _gram_tiles(m: int) -> "tuple[int, int]":
@@ -521,6 +525,12 @@ def deepest_subset(depths, h: int) -> np.ndarray:
     n = d.size
     if h > n or h < 1:
         raise InvalidSubsetSize(f"subset size {h} not in [1, {n}]")
-    if np.isnan(d).any():
+    return _least_outlying(-d, h)
+
+
+def _least_outlying(scores: np.ndarray, h: int) -> np.ndarray:
+    """``deepest_subset`` for scores that fall as the depth rises and an h
+    in [1, n]: the indices (ascending) of the h smallest scores."""
+    if np.isnan(scores).any():
         raise NonFiniteValues("depth values contain NaN")
-    return numeric.smallest(-d, h)
+    return numeric.smallest(scores, h)

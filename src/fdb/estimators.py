@@ -13,9 +13,8 @@ import math
 import numbers
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -23,7 +22,7 @@ from scipy.linalg.blas import dtrmm
 
 from . import depth as depth_mod
 from . import numeric
-from .depth import as_data_matrix, checked_integer, deepest_subset, default_direction_count
+from .depth import as_data_matrix, checked_integer, default_direction_count
 from .errors import (
     DegenerateData,
     DimensionError,
@@ -163,18 +162,23 @@ def _checked_subset_size(h: int, n: int, p: int) -> int:
     return h
 
 
-@contextmanager
-def _stage(name: str, seconds: dict):
-    # One pipeline stage: tags a propagating FdbError with the stage's name
-    # and records the stage's seconds in seconds[name].
-    start = time.perf_counter()
-    try:
-        yield
-    except FdbError as err:
-        if err.stage is None:
-            err.stage = name
-        raise
-    seconds[name] = time.perf_counter() - start
+class _Stage:
+    # One pipeline stage, as a context: tags a propagating FdbError with the
+    # stage's name and records the stage's seconds in seconds[name]. A class
+    # enters and leaves in about a third of the time of a generator context.
+    __slots__ = ("name", "seconds", "start")
+
+    def __init__(self, name: str, seconds: dict):
+        self.name, self.seconds = name, seconds
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+
+    def __exit__(self, kind, err, traceback):
+        if err is None:
+            self.seconds[self.name] = time.perf_counter() - self.start
+        elif isinstance(err, FdbError) and err.stage is None:
+            err.stage = self.name
 
 
 def _moments(x: np.ndarray, idx: np.ndarray, div: int, work: "np.ndarray | None" = None):
@@ -190,11 +194,12 @@ def _moments(x: np.ndarray, idx: np.ndarray, div: int, work: "np.ndarray | None"
     # one of its own; every caller's indices are in range.
     shape = (idx.shape[1], idx.shape[0], x.shape[1])
     rows = np.empty(shape) if work is None else work[: math.prod(shape)].reshape(shape)
-    np.take(x, idx.T, axis=0, out=rows, mode="clip")
+    x.take(idx.T, axis=0, out=rows, mode="clip")
     # An overflow here makes sigma non-finite, which its factorization
     # reports as NonFiniteValues; numpy need not warn of it first.
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = rows.mean(axis=0)
+        mu = np.add.reduce(rows, axis=0)  # rows.mean(axis=0), bit for bit
+        mu /= shape[0]
         rows -= mu
         sigma = np.matmul(rows.transpose(1, 2, 0), rows.transpose(1, 0, 2))
     del rows  # without work, frees the gathered rows before the p x p work
@@ -256,6 +261,11 @@ def subset_mean_cov(data, subset, denominator: str = "h-1") -> LocationScatter:
     div = h if denominator == "h" else h - 1
     if div < 1:
         raise InvalidSubsetSize(f"subset of size {h} is too small for denominator {denominator}")
+    return _fit(x, idx, div)
+
+
+def _fit(x: np.ndarray, idx: np.ndarray, div: int) -> LocationScatter:
+    # subset_mean_cov of row indices the pipeline made itself, so in range.
     mu, sigma = _moments(x, idx[None], div)
     lower, pivot = _factor_moments(sigma)
     if pivot[0] >= 0:
@@ -385,7 +395,9 @@ def reweight(data, ls: LocationScatter) -> ReweightResult:
     c0 rescales sigma so the median squared distance matches the chi-square
     median; samples beyond the sqrt(chi2_{p,0.975}) cutoff under the rescaled
     scatter get weight zero. The reweighted covariance uses denominator
-    (sum of weights - 1) with no further correction factor.
+    (sum of weights - 1) with no further correction factor. Where the kept
+    samples span fewer than p dimensions (an exact fit), ``DegenerateData``
+    is raised.
     """
     x = np.asarray(data, dtype=float)
     d2 = mahalanobis_sq(x, ls)
@@ -394,22 +406,39 @@ def reweight(data, ls: LocationScatter) -> ReweightResult:
     return ReweightResult(weights, c0, estimate)
 
 
+@lru_cache(maxsize=64)
+def _chi_square_points(p: int) -> "tuple[float, float]":
+    # The chi2_p median, which the consistency factors match, and the
+    # chi2_{p,0.975} reweighting cutoff; once per dimension.
+    return numeric.chi_square_quantile(p, 0.5), numeric.chi_square_quantile(p, 0.975)
+
+
 def _reweight(x: np.ndarray, d2: np.ndarray, p: int):
     # The 0/1 weights of the rows of x whose squared distances d2 lie within
     # the chi2_{p,0.975} cutoff, and the estimate of the rows they keep.
-    weights = (d2 <= numeric.chi_square_quantile(p, 0.975)).astype(np.int8)
-    kept = int(weights.sum())
+    keep = d2 <= _chi_square_points(p)[1]
+    rows = np.flatnonzero(keep)
+    kept = rows.size
     if kept <= p + 1:
         raise TooFewWeightedSamples(
             f"reweighting kept {kept} samples, need more than {p + 1}"
         )
-    return weights, subset_mean_cov(x, np.flatnonzero(weights), "h-1")
+    try:
+        estimate = _fit(x, rows, kept - 1)
+    except SingularCovariance:
+        # The estimate that gave d2 was not singular, so its nearest rows
+        # lie on a lower-dimensional set: an exact fit.
+        raise DegenerateData(
+            f"the {kept} samples within the reweighting cutoff span fewer than {p} "
+            "dimensions (an exact fit)"
+        ) from None
+    return keep.astype(np.int8), estimate
 
 
 def _consistency_factor(d2: np.ndarray, p: int, purpose: str) -> float:
     # c = med_i D^2(x_i) / chi2_{p, 0.5}: the factor that makes the median
     # squared distance match the chi-square median.
-    c = float(numeric.row_medians(d2)) / numeric.chi_square_quantile(p, 0.5)
+    c = float(numeric.row_medians(d2)) / _chi_square_points(p)[0]
     if c <= 0.0:
         raise SingularCovariance(f"median squared distance is zero; cannot {purpose}")
     return c
@@ -422,17 +451,17 @@ def _finish_report(
     # h-denominator scatter, c1 scaling and optional reweighting. Distances
     # under c1 * sigma0 are those under sigma0 divided by c1, so sigma0's
     # pass is the only one; the reweighting cuts them as they are.
-    with _stage("scatter", seconds):
-        raw = subset_mean_cov(x, subset, "h")
-    with _stage("scaling", seconds):
-        d2 = mahalanobis_sq(x, raw)
+    with _Stage("scatter", seconds):
+        raw = _fit(x, subset, len(subset))
+    with _Stage("scaling", seconds):
+        d2 = _distances(x, raw.mu[None], [raw.lower_inverse])[0]
         c1 = _consistency_factor(d2, raw.p, "scale scatter")
         with np.errstate(over="ignore"):
             d2 /= c1
         if not np.isfinite(d2).all():
             raise NonFiniteValues("scaled squared distances overflow")
     if do_reweight:
-        with _stage("reweight", seconds):
+        with _Stage("reweight", seconds):
             weights, estimate = _reweight(x, d2, raw.p)
     else:
         # The product keeps sigma0's exact symmetry.
@@ -440,18 +469,17 @@ def _finish_report(
     return EstimationReport(estimate, subset, weights, c1, stage_seconds=seconds, method=method)
 
 
-def _depths(x: np.ndarray, config: EstimatorConfig) -> np.ndarray:
-    # Scores in depth order. projection_depth draws the sampled directions
-    # as it consumes them, so the k x p set is never held.
+def _outlyingness(x: np.ndarray, config: EstimatorConfig) -> np.ndarray:
+    # Scores that fall as the depth rises. projection_depth draws the
+    # sampled directions as it consumes them, so the k x p set is never held.
     if config.depth == "projection":
         p = x.shape[1]
         dirs = depth_mod.sample_directions(p, config.resolve_k(p), config.seed)
-        return depth_mod.projection_depth(x, dirs, config.threads)
-    # L2 depth 1 / (1 + d) is 1 for every mean distance d below 2**-53;
-    # -d keeps the depth order wherever the depths differ, and ranks tiny
-    # data too.
-    _, mean_dist = depth_mod.l2_depth(x, config.threads, return_mean_distance=True)
-    return -mean_dist
+        return -depth_mod.projection_depth(x, dirs, config.threads)
+    # L2 depth 1 / (1 + d) is 1 for every mean distance d below 2**-53; d
+    # keeps the depth order wherever the depths differ, and ranks tiny data
+    # too.
+    return depth_mod._mean_distances(x, config.threads)
 
 
 def fdb_estimate(data, config: EstimatorConfig) -> EstimationReport:
@@ -461,10 +489,12 @@ def fdb_estimate(data, config: EstimatorConfig) -> EstimationReport:
     h-denominator covariance -> consistency scaling by c1 -> optional
     reweighting, after an input check. Each step runs as a stage: its
     seconds go into ``stage_seconds``, and an ``FdbError`` raised in it
-    carries its name as ``stage``.
+    carries its name as ``stage``. The matrix is checked once, at entry;
+    the later stages take it as checked, apart from ``projection_depth``,
+    which checks it again.
     """
     seconds = {}
-    with _stage("input", seconds):
+    with _Stage("input", seconds):
         x = as_data_matrix(data)
         n, p = x.shape
         h = config.resolve_h(n, p)
@@ -473,10 +503,10 @@ def fdb_estimate(data, config: EstimatorConfig) -> EstimationReport:
                 f"n={n} samples with p={p} variables; results are unreliable unless n > 5p",
                 stacklevel=2,
             )
-    with _stage("depth", seconds):
-        depths = _depths(x, config)
-    with _stage("subset", seconds):
-        subset = deepest_subset(depths, h)
+    with _Stage("depth", seconds):
+        outlyingness = _outlyingness(x, config)
+    with _Stage("subset", seconds):
+        subset = depth_mod._least_outlying(outlyingness, h)
     method = "fdb-pro" if config.depth == "projection" else "fdb-l2"
     return _finish_report(x, subset, config.reweight, method, seconds)
 
@@ -534,13 +564,13 @@ def fastmcd_baseline(
     does not depend on evaluation order.
     """
     seconds = {}
-    with _stage("input", seconds):
+    with _Stage("input", seconds):
         x = as_data_matrix(data)
         n, p = x.shape
         _checked_subset_size(checked_integer(h, "subset size", 1), n, p)
         checked_integer(n_starts, "start count", 1)
         checked_integer(seed, "seed", 0)
-    with _stage("subset", seconds):
+    with _Stage("subset", seconds):
         candidates = _elemental_starts(x, h, n_starts, seed)
         if not candidates:
             raise DegenerateData("every elemental start produced a singular covariance")

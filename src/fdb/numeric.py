@@ -161,7 +161,7 @@ def _checked_symmetric(m, ndim: int) -> np.ndarray:
         raise DimensionError(f"expected a {kind}, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFiniteValues("matrix contains non-finite entries")
-    if not (a == np.swapaxes(a, -1, -2)).all():
+    if not (a == a.swapaxes(-1, -2)).all():
         raise NotSymmetric("matrix is not symmetric")
     return a
 
@@ -204,6 +204,16 @@ def cholesky_stack(m) -> "tuple[np.ndarray, np.ndarray]":
 def _factor(a: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     # cholesky_stack on a checked stack.
     count, p = a.shape[:2]
+    if count == 1:
+        # The same factor and pivot as below, where the stack's numpy
+        # calls cost more than dpotrf itself at small p: its own
+        # Fortran-ordered result is the factor, and one diagonal is checked.
+        lower, info = dpotrf(a[0], lower=True, clean=True)
+        if info > 0:
+            lower[range(info - 1, p), range(info - 1, p)] = np.inf
+        small = lower.diagonal() ** 2 <= (p * _EPS) * a[0].diagonal().max()
+        pivot = small.argmax() if small.any() else info - 1 if info > 0 else -1
+        return lower[None], np.array([pivot])
     # Fortran-ordered factors, as dpotrf returns them and dtrtri takes them.
     lower = np.empty_like(a).transpose(0, 2, 1)
     pivot = np.full(count, -1)

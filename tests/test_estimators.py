@@ -361,10 +361,12 @@ class TestValidateOnce:
         fastmcd_baseline(rng.standard_normal((60, 3)), 45, n_starts=20, seed=1)
         assert validations == [(60, 3)]
 
-    @pytest.mark.parametrize("depth", ["projection", "l2"])
-    def test_fdb_estimate_scans_once_plus_its_depth_kernel(self, rng, validations, depth):
+    # L2 depth takes the matrix checked at entry; projection depth is called
+    # through its public function, which checks it again.
+    @pytest.mark.parametrize("depth, scans", [("projection", 2), ("l2", 1)])
+    def test_fdb_estimate_scans_at_entry(self, rng, validations, depth, scans):
         fdb_estimate(rng.standard_normal((60, 3)), EstimatorConfig(depth=depth, k=100))
-        assert validations == [(60, 3), (60, 3)]
+        assert validations == [(60, 3)] * scans
 
     def test_c_step_primitives_do_not_scan(self, rng, validations):
         x = rng.standard_normal((60, 3))
@@ -461,6 +463,23 @@ class TestReweight:
         result = reweight(x, LocationScatter(np.zeros(2), np.eye(2)))
         assert result.weights[0] == 0
 
+    @pytest.mark.parametrize(
+        "method, stage", [("fdb-l2", "reweight"), ("fastmcd", "reweight"), ("fdb-pro", "depth")]
+    )
+    def test_exact_fit_within_the_cutoff_is_degenerate(self, method, stage):
+        # 70 of 100 rows at 0: the h-subset holds rows off that point and is
+        # not singular, but the rows within the cutoff are the 70 copies. Every
+        # projection of the data has a MAD of 0, so fdb-pro stops earlier.
+        x = np.zeros((100, 3))
+        x[70:] = np.random.default_rng(0).standard_normal((30, 3))
+        with pytest.raises(DegenerateData, match="fewer than 3|zero MAD") as exc:
+            _run(method, x)
+        assert exc.value.stage == stage
+        if method == "fdb-l2":
+            # Without the reweighting the raw estimate stands.
+            report = _run(method, x, do_reweight=False)
+            assert np.all(np.diag(report.estimate.sigma) > 0.0)
+
     def test_all_weights_one_reduces_to_sample_moments(self):
         # All four cross points sit at squared distance 1 under the identity:
         # the median-calibrated cutoff keeps everything.
@@ -546,22 +565,33 @@ class TestFdbEstimate:
         assert exc.value.stage == "scatter"
         assert isinstance(exc.value, ValueError)
 
+    @pytest.mark.parametrize("depth", ["projection", "l2"])
+    @pytest.mark.parametrize("shape", ["200x5", "300x6", "400x40", "300x6-duplicated"])
     @pytest.mark.parametrize("do_reweight", [True, False])
-    def test_tail_matches_direct_passes(self, rng, do_reweight):
-        # The tail takes the distances under c1 * sigma0 as the raw ones
-        # divided by c1; the weights and estimate equal a direct pass's.
-        x = rng.standard_normal((300, 6))
-        x[:40] += 8.0
-        config = EstimatorConfig(seed=2, reweight=do_reweight)
-        report = fdb_estimate(x, config)
+    def test_tail_matches_direct_passes(self, rng, depth, shape, do_reweight):
+        # The tail fits, factors and measures through the same kernels as
+        # the public functions, without their checks, and takes the
+        # distances under c1 * sigma0 as the raw ones divided by c1. So
+        # reweight on the raw estimate, whose c0 is c1, gives its bits.
+        n, p = (int(size) for size in shape.split("-")[0].split("x"))
+        x = rng.standard_normal((n, p))
+        x[: n // 8] += 8.0
+        if shape.endswith("duplicated"):
+            x[n // 2 :] = x[: n // 2]
+        report = fdb_estimate(x, EstimatorConfig(depth=depth, seed=2, reweight=do_reweight))
         raw = subset_mean_cov(x, report.subset, "h")
-        scaled = LocationScatter(raw.mu, report.c1 * raw.sigma)
+        d2 = mahalanobis_sq(x, raw)
+        assert report.c1 == float(np.median(d2)) / chi_square_quantile(p, 0.5)
         if do_reweight:
-            direct = reweight(x, scaled)
+            direct = reweight(x, raw)
+            assert direct.c0 == report.c1
             assert np.array_equal(report.weights, direct.weights)
+            assert np.array_equal(report.estimate.mu, direct.estimate.mu)
             assert np.array_equal(report.estimate.sigma, direct.estimate.sigma)
         else:
-            assert np.array_equal(report.estimate.sigma, scaled.sigma)
+            assert report.weights is None
+            assert np.array_equal(report.estimate.mu, raw.mu)
+            assert np.array_equal(report.estimate.sigma, report.c1 * raw.sigma)
 
     @pytest.mark.parametrize("do_reweight", [True, False])
     def test_overflowing_scaled_distances_are_tagged(self, do_reweight):
