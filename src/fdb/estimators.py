@@ -165,7 +165,8 @@ def _checked_subset_size(h: int, n: int, p: int) -> int:
 class _Stage:
     # One pipeline stage, as a context: tags a propagating FdbError with the
     # stage's name and records the stage's seconds in seconds[name]. A class
-    # enters and leaves in about a third of the time of a generator context.
+    # enters and leaves in under half the time of a generator context
+    # (0.42 against 1.0 us).
     __slots__ = ("name", "seconds", "start")
 
     def __init__(self, name: str, seconds: dict):
