@@ -12,6 +12,7 @@ import math
 import operator
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,13 +74,13 @@ _PARALLEL_WORK = 2_000_000
 # was 0.4% slower (7 of 10) and 94 KB lower.
 _CHUNK_BYTES = _BLOCK_BYTES // 4
 
-# No worker takes a block more than this many blocks ahead of the first
-# block whose result is not yet reduced, in every kernel: so at most this
-# many finished results wait for their turn. In strict lock-step (0) a stall
-# of one thread stalls the other. Two L2 workers at n = 2000, p = 200 (32
-# blocks of 64 rows), one BLAS thread, took a median 23.5-38.7 ms with 0 and
-# 23.4-38.3 ms with 4, faster in each of three passes of 30 alternating
-# calls on a 2-vCPU Xeon.
+# The calling thread submits no block more than this many blocks ahead of
+# the first block whose result it has not yet reduced, in every kernel: so
+# at most this many finished results wait for their turn. In strict
+# lock-step (0) a stall of one thread stalls the other. Two L2 workers at
+# n = 2000, p = 200 (32 blocks of 64 rows), one BLAS thread, took a median
+# 23.5-38.7 ms with 0 and 23.4-38.3 ms with 4, faster in each of three
+# passes of 30 alternating calls on a 2-vCPU Xeon.
 _LOOKAHEAD = 4
 
 # From this dimension on, an L2 tile is the Gram form |a|^2 + |b|^2 - 2 a'b,
@@ -137,17 +138,19 @@ def _map_in_order(
 ) -> None:
     """Call ``reduce(work(item))`` for the ``blocks`` ``items``, in item
     order, on T worker threads, where ``work = start_worker()`` is made
-    once per worker, so it can reuse its buffers from block to block.
+    once per worker, on its first block, so it can reuse its buffers from
+    block to block.
 
     T is the thread count (``threads``, else FDB_THREADS, else 1), at most
     ``blocks``, where a block takes ``block_work`` >= ``_PARALLEL_WORK``
-    multiply-adds, and 1 otherwise; a single worker runs inline. Each
-    worker takes the next item when it asks, but none more than
-    ``_LOOKAHEAD`` ahead of the first result not yet reduced; finished
-    results wait for their turn, and ``reduce`` runs under the lock in item
-    order, whichever worker finished first. Once a worker raises, in its
-    block or in ``reduce``, nothing more is handed out or reduced, and the
-    error is raised when the others have stopped.
+    multiply-adds, and 1 otherwise; a single worker runs inline. With more,
+    the calling thread submits the items in order to a pool of T threads,
+    never more than ``_LOOKAHEAD`` ahead of the first result not yet
+    reduced, and reduces each result itself, in item order, with no lock.
+    A failure, in a block or in ``reduce``, raises the error of the first
+    failing block in item order, as one worker does: nothing more is
+    submitted or reduced, blocks not yet started are cancelled, and the
+    error is raised once the running ones have ended.
     """
     count = _worker_count(threads)
     workers = min(count, blocks) if block_work >= _PARALLEL_WORK else 1
@@ -156,40 +159,25 @@ def _map_in_order(
         for item in items:
             reduce(work(item))
         return
-    items, turn = iter(items), threading.Condition()
-    done = {}  # finished results that wait for their turn
-    taken = due = 0  # blocks handed out; blocks reduced
-    failed = False
+    local = threading.local()
 
-    def run(_):
-        nonlocal taken, due, failed
-        try:
-            work = start_worker()
-            while True:
-                with turn:
-                    turn.wait_for(lambda: failed or taken <= due + _LOOKAHEAD)
-                    if failed or taken == blocks:
-                        return
-                    block, item = taken, next(items)
-                    taken += 1
-                result = work(item)
-                with turn:
-                    if failed:
-                        return
-                    done[block] = result
-                    del result  # not held while this worker computes its next block
-                    while due in done:
-                        reduce(done.pop(due))
-                        due += 1
-                    turn.notify_all()
-        except BaseException:
-            with turn:
-                failed = True
-                turn.notify_all()
-            raise
+    def run(item):
+        if not hasattr(local, "work"):
+            local.work = start_worker()
+        return local.work(item)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(workers)))
+        pending = deque()  # submitted, not yet reduced, in item order
+        try:
+            for item in items:
+                pending.append(pool.submit(run, item))
+                if len(pending) > _LOOKAHEAD:
+                    reduce(pending.popleft().result())
+            while pending:
+                reduce(pending.popleft().result())
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def default_direction_count(p: int) -> int:

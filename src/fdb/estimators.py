@@ -582,8 +582,10 @@ def fastmcd_baseline(
         best_subset = None
         for _, _, subset in candidates[:10]:
             try:
-                # Refits the candidate's state: the same call on the same rows.
-                state = subset_mean_cov(x, subset, "h-1")
+                # Refits the candidate's state from its h rows, as
+                # subset_mean_cov(x, subset, "h-1") does, without checking
+                # the checked matrix and the pipeline's own indices again.
+                state = _fit(x, subset, h - 1)
                 subset, state, _ = iterate_c_steps(x, state, h)
             except SingularCovariance:
                 continue

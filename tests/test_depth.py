@@ -774,6 +774,43 @@ class TestMapInOrder:
         assert max(taken) == 1 + depth._LOOKAHEAD
         assert reduced == ([0] if where == "block" else [0, 1])
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_error_is_the_first_failing_blocks_for_every_thread_count(self, threads):
+        # Block 3 fails first in time, block 1 after it. One worker runs
+        # block 1 first and raises its error; so must every count.
+        assert _in_child(_failing_map_twice, threads) == ["block 1"]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_each_worker_thread_starts_its_worker_once(self, threads):
+        # Every block runs on a thread that made its own worker, and no
+        # thread makes a second one.
+        blocks, starts, runs = 24, [], []
+
+        def start_worker():
+            owner = threading.get_ident()
+            starts.append(owner)
+
+            def work(block):
+                runs.append((owner, threading.get_ident()))
+                time.sleep(0.002)  # so that the pool starts all its threads
+                return block
+
+            return work
+
+        reduced = []
+        assert _memory_errors(
+            lambda: depth._map_in_order(
+                start_worker, reduced.append, range(blocks), blocks, threads,
+                depth._PARALLEL_WORK,
+            ),
+            "_map_in_order",
+        ) == []
+        assert reduced == list(range(blocks))
+        assert len(starts) == len(set(starts))
+        assert 1 <= len(starts) <= threads
+        assert all(owner == thread for owner, thread in runs)
+        assert {thread for _, thread in runs} == set(starts)
+
 
 def _memory_errors(call, name: str) -> "list[str]":
     """The message of the MemoryError that ``call()`` raised, if any. It is
@@ -852,6 +889,37 @@ def _failing_map(threads: int, where: str):
             raise MemoryError("block 1")
 
     return TestMapInOrder._map(work, reduce, blocks, threads), taken, reduced
+
+
+def _failing_map_twice(threads: int) -> "list[str]":
+    """The errors raised by ``_map_in_order`` over 12 blocks on ``threads``
+    workers, where block 3 raises at once and block 1 once block 3 has
+    raised. Run it through ``_in_child``.
+
+    The first ``threads`` blocks go to distinct workers: block 0 holds its
+    worker until block ``threads - 1`` has started. Block 1 then holds its
+    worker until block 3 has raised, and block 2 (of three workers) until
+    block 3 has started, so block 0's worker takes block 3."""
+    started = [threading.Event() for _ in range(12)]
+    raised = threading.Event()
+
+    def work(block):
+        started[block].set()
+        if block == 0:
+            assert started[threads - 1].wait(10.0)
+        elif block == 3:
+            try:
+                raise MemoryError("block 3")
+            finally:
+                raised.set()
+        elif block == 1:
+            assert raised.wait(10.0)
+            raise MemoryError("block 1")
+        elif block < threads:
+            assert started[3].wait(10.0)
+        return block
+
+    return TestMapInOrder._map(work, lambda block: None, 12, threads)
 
 
 def _failing_gram_tile(threads: int) -> "list[str]":

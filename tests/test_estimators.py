@@ -361,6 +361,16 @@ class TestValidateOnce:
         fastmcd_baseline(rng.standard_normal((60, 3)), 45, n_starts=20, seed=1)
         assert validations == [(60, 3)]
 
+    def test_fastmcd_baseline_refits_its_finalists_unchecked(self, rng, monkeypatch):
+        # The ten finalists are refitted from the checked matrix, not through
+        # the public subset_mean_cov, which would check it and the indices
+        # again.
+        def refused(*args, **kwargs):
+            raise AssertionError("subset_mean_cov called")
+
+        monkeypatch.setattr(estimators, "subset_mean_cov", refused)
+        fastmcd_baseline(rng.standard_normal((60, 3)), 45, n_starts=20, seed=1)
+
     # L2 depth takes the matrix checked at entry; projection depth is called
     # through its public function, which checks it again.
     @pytest.mark.parametrize("depth, scans", [("projection", 2), ("l2", 1)])
