@@ -210,15 +210,21 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def resolve_threads(value: "str | None") -> int:
-    """Thread count: --threads flag, then FDB_THREADS, then hardware parallelism.
+    """Thread count: --threads flag, then FDB_THREADS, then the CPUs this
+    process may run on.
 
     estimate, pca, detect and depth split the depth kernels' blocks over
     these threads; benchmark runs its replicates on them. FDB_THREADS is
-    read and checked by the depth kernels' own rule.
+    read and checked by the depth kernels' own rule. The CPU count is the
+    process's affinity set where the platform reports one, so a run under
+    ``taskset`` or a cpuset starts no more workers than it has CPUs; the
+    host's count is the fallback.
     """
     if value is None or value == "auto":
         if os.environ.get("FDB_THREADS", "").strip():
             return _worker_count(None)
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         threads = int(value)

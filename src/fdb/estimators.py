@@ -84,7 +84,8 @@ class EstimatorConfig:
 
     ``alpha`` sets the core-set size h = floor(alpha * n) unless ``h`` is
     given explicitly; ``k`` is the direction count for projection depth
-    (``None`` means the adaptive rule max(1000, 10 p)). ``threads`` is the
+    (``None`` means ``default_direction_count(p)``: 100 p
+    below p = 10, max(1000, 10 p) from there on). ``threads`` is the
     worker count of the depth kernels (``None`` means the FDB_THREADS
     environment variable, else 1); the estimate does not depend on it.
     """

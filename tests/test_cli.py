@@ -86,7 +86,7 @@ class TestEstimate:
         assert required <= set(doc) and "c0" not in doc
         assert len(doc["mu"]) == 4
         assert len(doc["sigma"]) == 4 and len(doc["sigma"][0]) == 4
-        assert doc["k"] == 1000  # auto rule at p = 4
+        assert doc["k"] == 400  # auto rule at p = 4: 100 p below p = 10
 
     def test_matches_library_call(self, sample_csv, tmp_path):
         out = tmp_path / "est.json"
@@ -653,6 +653,24 @@ class TestThreadResolution:
         from fdb.cli import resolve_threads
 
         assert resolve_threads(None) >= 1
+
+    @pytest.mark.parametrize("flag", [None, "auto"])
+    def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch, flag):
+        from fdb.cli import resolve_threads
+
+        monkeypatch.delenv("FDB_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_threads(flag) == 2
+
+    @pytest.mark.parametrize("cpus,expected", [(6, 6), (None, 1)])
+    def test_auto_falls_back_to_the_host_count_without_affinity(self, monkeypatch, cpus, expected):
+        from fdb.cli import resolve_threads
+
+        monkeypatch.delenv("FDB_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert resolve_threads("auto") == expected
 
     def test_invalid_value(self):
         from fdb.cli import InputError, resolve_threads

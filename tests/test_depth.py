@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fdb import depth, numeric
 from fdb.estimators import EstimatorConfig, fdb_estimate
+from fdb.evaluation import ContaminationSpec, GenerationSpec, contaminate, generate_clean
 from fdb.depth import (
     DirectionSet,
     deepest_subset,
@@ -49,8 +50,15 @@ class TestSampleDirections:
         assert np.linalg.norm(dirs.directions.mean(axis=0)) < 0.05
 
     def test_default_rule(self):
-        assert default_direction_count(5) == 1000
+        assert default_direction_count(5) == 500
         assert default_direction_count(150) == 1500
+
+    def test_default_rule_is_unchanged_from_p_10(self):
+        # Settings B and C, cstep-mid (p = 40) and wide (p = 200) keep k.
+        assert all(default_direction_count(p) == max(1000, 10 * p) for p in range(10, 501))
+        counts = [default_direction_count(p) for p in range(1, 501)]
+        assert counts[:9] == [100 * p for p in range(1, 10)]
+        assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_invalid_count(self):
         with pytest.raises(InvalidConfig):
@@ -85,6 +93,56 @@ class TestSampleDirections:
         expected = u / np.linalg.norm(u, axis=1)[:, None]
         assert np.array_equal(sample_directions(p, k, seed=4).directions, expected)
         assert _peak_bytes(lambda: sample_directions(p, k, 4).directions) < 1.25 * 8 * k * p
+
+
+def _contaminated_sample(p: int, kind: str, seed: int):
+    """200 x p rows of N(0, G G') with 20% of ``kind`` outliers at r = 5 (none
+    for "none"), and the outlier labels."""
+    _, y, g = generate_clean(GenerationSpec(200, p, seed=seed))
+    epsilon = 0.0 if kind == "none" else 0.2
+    y, labels = contaminate(y, ContaminationSpec(kind, epsilon, 5.0), seed=seed + 1)
+    return y @ g.T, labels
+
+
+def _fdb_pro_subset(x, k: int, seed: int) -> set:
+    report = fdb_estimate(x, EstimatorConfig(k=k, seed=seed, reweight=False))
+    return set(report.subset.tolist())
+
+
+class TestDefaultDirectionCountAtSmallP:
+    """Below p = 10 the rule draws 100 p directions. Measured against a
+    k = 20 000 reference at 200 x p with 20% outliers at r = 5."""
+
+    @pytest.mark.parametrize("kind", ["none", "random", "cluster", "radial"])
+    def test_p1_subset_does_not_depend_on_k(self, kind):
+        # Every direction in R^1 normalizes to exactly +1 or -1, and either
+        # sign gives the same outlyingness bits.
+        assert set(np.abs(sample_directions(1, 1000, seed=0).directions).ravel()) == {1.0}
+        x, _ = _contaminated_sample(1, kind, seed=0)
+        reference = _fdb_pro_subset(x, 20_000, seed=0)
+        for k in (1, 7, default_direction_count(1), 1000):
+            assert _fdb_pro_subset(x, k, seed=0) == reference
+
+    # Most rows of the h = 150 subset that the default k swaps against the
+    # reference, over seeds 0-9 and the five kinds: 3 at p = 2 (k = 200),
+    # 8 at p = 5 (k = 500). The old k = 1000 swapped up to 1 and 7.
+    @pytest.mark.parametrize("p, most_swaps", [(2, 3), (5, 8)])
+    @pytest.mark.parametrize("kind", ["none", "point", "random", "cluster", "radial"])
+    def test_default_subset_stays_near_a_many_direction_reference(self, p, most_swaps, kind):
+        for seed in range(3):
+            x, labels = _contaminated_sample(p, kind, seed)
+            outliers = set(np.flatnonzero(labels).tolist())
+            reference = _fdb_pro_subset(x, 20_000, seed)
+            subset = _fdb_pro_subset(x, default_direction_count(p), seed)
+            assert len(subset - reference) <= most_swaps
+            if kind == "radial":
+                # N(0, 5 I) outliers overlap the bulk, so both subsets keep
+                # some, and which ones is a coin toss at the boundary: over
+                # seeds 0-9 the default kept at most 2 more than the
+                # reference, as k = 1000 did.
+                assert len(subset & outliers) <= len(reference & outliers) + 2
+            else:
+                assert not (subset - reference) & outliers
 
 
 class TestProjectionDepth:

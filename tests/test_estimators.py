@@ -748,7 +748,7 @@ class TestEstimatorConfig:
 
     def test_auto_direction_count(self):
         config = EstimatorConfig()
-        assert config.resolve_k(5) == 1000
+        assert config.resolve_k(5) == 500
         assert config.resolve_k(250) == 2500
         assert EstimatorConfig(k=64).resolve_k(250) == 64
 
