@@ -70,14 +70,20 @@ def robust_pca(data, ls: LocationScatter, n_components: int) -> PcaModel:
     p = x.shape[1]
     if ls.p != p:
         raise DimensionError(f"estimate dimension {ls.p} does not match data dimension {p}")
-    if not 1 <= checked_integer(n_components, "component count", None) <= p:
-        raise DimensionError(f"component count {n_components} not in [1, {p}]")
+    check_component_count(n_components, p)
     eig = numeric.eigen_symmetric(ls.sigma)
     return PcaModel(
         mu=ls.mu.copy(),
         loadings=eig.vectors[:, :n_components].copy(),
         eigenvalues=eig.values[:n_components].copy(),
     )
+
+
+def check_component_count(n_components, p: int) -> None:
+    """Raise ``InvalidConfig`` for a component count that is not an
+    integer, ``DimensionError`` for one outside [1, p]."""
+    if not 1 <= checked_integer(n_components, "component count", None) <= p:
+        raise DimensionError(f"component count {n_components} not in [1, {p}]")
 
 
 def pca_diagnostics(data, model: PcaModel) -> PcaDiagnostics:

@@ -220,27 +220,34 @@ def resolve_threads(value: "str | None") -> int:
     ``taskset`` or a cpuset starts no more workers than it has CPUs; the
     host's count is the fallback.
     """
-    if value is None or value == "auto":
-        if os.environ.get("FDB_THREADS", "").strip():
-            return _worker_count(None)
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        threads = int(value)
-    except ValueError:
-        raise InputError(f"thread count must be an integer or 'auto', got {value!r}") from None
-    return checked_integer(threads, "thread count", 1)
+    threads = _count_or_auto(value, "thread count")
+    if threads is not None:
+        return threads
+    if os.environ.get("FDB_THREADS", "").strip():
+        return _worker_count(None)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _parse_k(value: "str | None") -> "int | None":
+def _count_or_auto(value: "str | None", name: str) -> "int | None":
+    """The positive integer ``value`` of the count ``name``, or None for
+    None and 'auto'; InputError for a value that is not an integer."""
     if value is None or value == "auto":
         return None
     try:
-        k = int(value)
+        count = int(value)
     except ValueError:
-        raise InputError(f"direction count must be an integer or 'auto', got {value!r}") from None
-    return checked_integer(k, "direction count", 1)
+        raise InputError(f"{name} must be an integer or 'auto', got {value!r}") from None
+    return checked_integer(count, name, 1)
+
+
+def _as_input_error(check, *args):
+    """``check(*args)``, with a library error raised as an InputError."""
+    try:
+        return check(*args)
+    except FdbError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _items(value: str) -> "list[str]":
@@ -266,7 +273,8 @@ def _json_dumps(doc) -> str:
 def _setup(args):
     """The input matrix, thread count and direction count of estimate, pca
     and detect, read and checked in that order."""
-    return read_matrix_csv(args.input), resolve_threads(args.threads), _parse_k(args.k)
+    x = read_matrix_csv(args.input)
+    return x, resolve_threads(args.threads), _count_or_auto(args.k, "direction count")
 
 
 def _estimate(args, x, threads, k):
@@ -327,10 +335,7 @@ def cmd_benchmark(args) -> int:
         _items(args.methods),
     )
     cells = [evaluation.BenchmarkCell(*values) for values in grid]
-    try:
-        evaluation.check_grid(cells, args.replicates, args.alpha, settings)
-    except FdbError as exc:
-        raise InputError(str(exc)) from None
+    _as_input_error(evaluation.check_grid, cells, args.replicates, args.alpha, settings)
 
     rows = evaluation.run_benchmark(
         # The distinct cells, in grid order.
@@ -355,6 +360,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_pca(args) -> int:
     x, threads, k = _setup(args)
+    _as_input_error(applications.check_component_count, args.components, x.shape[1])
     report = _estimate(args, x, threads, k)
     model = applications.robust_pca(x, report.estimate, args.components)
     diagnostics = applications.pca_diagnostics(x, model)
@@ -383,6 +389,7 @@ def cmd_pca(args) -> int:
 def cmd_detect(args) -> int:
     x, threads, k = _setup(args)
     labels = read_labels_csv(args.labels, x.shape[0]) if args.labels else None
+    _as_input_error(applications.parse_rule, args.rule)
     report = _estimate(args, x, threads, k)
     result = applications.detect_outliers(x, report.estimate, rule=args.rule, labels=labels)
 
@@ -411,7 +418,7 @@ def cmd_depth(args) -> int:
     checked_integer(args.seed, "seed", 0)  # for L2 depth too, which draws nothing
     n, p = x.shape
     if args.depth == "projection":
-        k = _parse_k(args.k) or default_direction_count(p)
+        k = _count_or_auto(args.k, "direction count") or default_direction_count(p)
         depths = projection_depth(x, sample_directions(p, k, args.seed), threads)
     else:
         depths = l2_depth(x, threads)

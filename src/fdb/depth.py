@@ -223,11 +223,7 @@ class DirectionSet:
     seed: int
 
     def __post_init__(self):
-        try:
-            operator.index(self.p)
-        except TypeError:
-            raise InvalidConfig(f"dimension must be an integer, got {self.p!r}") from None
-        if self.p < 1:
+        if checked_integer(self.p, "dimension", None) < 1:
             raise DimensionError(f"dimension must be positive, got {self.p}")
         checked_integer(self.k, "direction count", 1)
         checked_integer(self.seed, "seed", 0)
@@ -368,7 +364,7 @@ def l2_depth(data, threads: "int | None" = None) -> np.ndarray:
 
     Data of extreme scale are first scaled by a power of two, which is
     exact, so that squared distances neither overflow nor become subnormal.
-    ``_distance_sums`` computes each pair of distinct rows once, in tiles
+    ``_mean_distances`` computes each pair of distinct rows once, in tiles
     of at most ``_BLOCK_BYTES``: from dimension ``_L2_GRAM_MIN_P`` on from
     the Gram form of a centred copy, below it from pairwise differences.
     Its blocks run on ``threads`` workers (``None``: FDB_THREADS, else 1),
@@ -379,17 +375,6 @@ def l2_depth(data, threads: "int | None" = None) -> np.ndarray:
     estimators rank tiny data by the distances, ``_mean_distances``.
     """
     return 1.0 / (1.0 + _mean_distances(as_data_matrix(data), threads))
-
-
-def _mean_distances(x: np.ndarray, threads: "int | None") -> np.ndarray:
-    """Mean Euclidean distance from each row of the checked matrix ``x`` to
-    all rows, of which ``l2_depth`` is 1 / (1 + d)."""
-    exponent = math.frexp(max(x.max(), -x.min()))[1]
-    if abs(exponent) <= _UNSCALED_EXPONENT:
-        exponent = 0
-    mean_dist = _distance_sums(x, exponent, threads)
-    mean_dist /= x.shape[0]
-    return np.ldexp(mean_dist, exponent, out=mean_dist) if exponent else mean_dist
 
 
 def _gram_tiles(m: int) -> "tuple[int, int]":
@@ -407,30 +392,38 @@ def _gram_tiles(m: int) -> "tuple[int, int]":
     return rows, _BLOCK_BYTES // (8 * rows)
 
 
-def _distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> np.ndarray:
-    """Sum of the Euclidean distances from each row of ``x * 2**-exponent``
-    to all rows, each pair of distinct rows computed once. From dimension
-    ``_L2_GRAM_MIN_P`` on, a tile of distances is |a|^2 + |b|^2 - 2 a'b on
-    the centred scaled rows, one matrix product; below it, ``cdist`` of the
-    scaled rows. Only the Gram form, scaled data and merged rows copy them.
+def _mean_distances(x: np.ndarray, threads: "int | None") -> np.ndarray:
+    """Mean Euclidean distance from each row of the checked matrix ``x`` to
+    all rows, of which ``l2_depth`` is 1 / (1 + d), each pair of distinct
+    rows computed once.
+
+    Where max |x| lies outside [2**-256, 2**256], the rows are scaled by
+    2**-e first, e the exponent of max |x|, and the means by 2**e last;
+    both steps are exact. From dimension ``_L2_GRAM_MIN_P`` on, a tile of
+    distances is |a|^2 + |b|^2 - 2 a'b on the centred rows, one matrix
+    product; below it, ``cdist`` of the rows. Only the Gram form, scaled
+    data and merged rows copy them.
 
     Bitwise-identical rows are merged first and weighted by their count, so
-    they get identical sums and a distance of exactly 0 to each other, which
-    the rounding of the Gram form would not give them.
+    they get identical means and a distance of exactly 0 to each other,
+    which the rounding of the Gram form would not give them.
 
     The block of rows [start, stop) takes the strip of distances to the
     rows from ``start`` on, one ``_gram_tiles`` panel at a time; the first
-    panel holds the block's diagonal. The block's vector accumulates the
-    strip's weighted row sums over its panels, which complete the block's
-    rows, followed by the weighted column sums right of the diagonal, which
-    fill in the lower triangle of every later row. ``_map_in_order`` runs
-    the blocks on the workers and adds their vectors into the sums in block
-    order, so every sum adds the same per-block terms in the same order for
-    every thread count. The working memory is one tile of at most
-    ``_BLOCK_BYTES`` and one length-m vector per worker, at most
-    ``_LOOKAHEAD`` finished vectors waiting for their turn and the sums,
-    besides the rows.
+    panel holds the block's diagonal. The block's share, of length
+    m - start, accumulates the strip's weighted row sums over its panels,
+    which complete the block's rows, followed by the weighted column sums
+    right of the diagonal, which fill in the lower triangle of every later
+    row. ``_map_in_order`` runs the blocks on the workers and adds their
+    shares into the sums in block order, so every sum adds the same
+    per-block terms in the same order for every thread count. The working
+    memory is one tile of at most ``_BLOCK_BYTES`` and one length-m vector
+    per worker, at most ``_LOOKAHEAD`` finished shares waiting for their
+    turn and the sums, besides the rows.
     """
+    exponent = math.frexp(max(x.max(), -x.min()))[1]
+    if abs(exponent) <= _UNSCALED_EXPONENT:
+        exponent = 0
     xd, inverse, weights = _distinct_rows(x)
     m, p = xd.shape
     gram = p >= _L2_GRAM_MIN_P
@@ -447,10 +440,10 @@ def _distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> np.nd
 
     def start_worker():
         buf = np.empty(rows * min(width, m))  # one tile
-        return lambda start: (start, block_share(start, buf))
+        return lambda start: block_share(start, buf)
 
     def block_share(start, buf):
-        """The vector of the block from ``start``, its tiles computed in ``buf``."""
+        """The share of the block from ``start``, its tiles computed in ``buf``."""
         r = min(rows, m - start)
         strip, w = xd[start:], weights[start:]
         for a in range(0, m - start, width):  # the panel's columns in the strip
@@ -476,13 +469,14 @@ def _distance_sums(x: np.ndarray, exponent: int, threads: "int | None") -> np.nd
                 np.matmul(w[:r], d, out=share[a:b])
         return share
 
-    def add(result):
-        start, share = result
-        total[start:] += share
+    def add(share):
+        total[m - share.size :] += share
 
     blocks = -(-m // rows)
     _map_in_order(start_worker, add, range(0, m, rows), blocks, threads, rows * (m + rows) // 2 * p)
-    return total[inverse]
+    mean = total[inverse]
+    mean /= x.shape[0]
+    return np.ldexp(mean, exponent, out=mean) if exponent else mean
 
 
 def _distinct_rows(x: np.ndarray):

@@ -268,9 +268,8 @@ def eigen_symmetric(m) -> EigenDecomposition:
     vectors = vectors[:, ::-1].copy()
     # Fix each eigenvector's sign so results are reproducible across runs.
     lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    vectors *= signs
+    # A unit vector's largest entry is at least 1 / sqrt(p) in magnitude: no sign is 0.
+    vectors *= np.sign(vectors[lead, np.arange(vectors.shape[1])])
     return EigenDecomposition(values, vectors)
 
 

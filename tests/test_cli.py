@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fdb import applications, cli, depth
+from fdb import applications, cli, depth, evaluation
 from fdb.cli import InputError, main
 from fdb.errors import InvalidConfig
 from fdb.estimators import EstimatorConfig, fdb_estimate
@@ -533,7 +533,36 @@ class TestDetect:
 
     def test_bad_rule_exit_code(self, cross_csv, tmp_path):
         assert main(["detect", "--input", cross_csv, "--output",
-                     str(tmp_path / "f.csv"), "--rule", "nope:1"]) == 3
+                     str(tmp_path / "f.csv"), "--rule", "nope:1"]) == 2
+
+
+@pytest.fixture
+def wide_csv(tmp_path):
+    x = np.random.default_rng(8).standard_normal((300, 6))
+    return write(tmp_path / "wide.csv", "\n".join(",".join(repr(float(v)) for v in row) for row in x))
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("detect", "--rule", "nope:1", "unknown rule kind 'nope'"),
+        ("detect", "--rule", "top:-2", "top count must be nonnegative, got -2"),
+        ("detect", "--rule", "chi2:1.5", "chi2 probability must lie in (0, 1), got 1.5"),
+        ("pca", "--components", "0", "component count 0 not in [1, 6]"),
+        ("pca", "--components", "9", "component count 9 not in [1, 6]"),
+    ],
+)
+def test_bad_rule_or_component_count_stops_before_the_estimate(
+    wide_csv, tmp_path, monkeypatch, capsys, command, flag, value, message
+):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("the estimate ran")
+
+    monkeypatch.setattr(evaluation, "run_estimator", no_estimate)
+    out = tmp_path / "out.csv"
+    assert main([command, "--input", wide_csv, "--output", str(out), flag, value]) == 2
+    assert f"fdb: input error: {message}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["wide.csv"]  # no output, summary or model file
 
 
 class TestDepthCommand:

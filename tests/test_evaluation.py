@@ -201,21 +201,25 @@ class TestMetrics:
             assert kl_divergence(a, b) > 0.0
             assert kl_divergence(b, b) == pytest.approx(0.0, abs=1e-10)
 
-    def test_evaluate_estimate_whitens_once(self, rng, monkeypatch):
-        ls = LocationScatter(rng.standard_normal(5), random_spd(rng, 5))
-        truth = random_spd(rng, 5)
-        original, whitened = evaluation._whitened, []
+    @pytest.mark.parametrize("p", [1, 2, 5, 12])
+    def test_evaluate_estimate_scores_against_the_identity_unwhitened(self, rng, monkeypatch, p):
+        ls = back_transform(LocationScatter(rng.standard_normal(p), random_spd(rng, p)), build_g(p))
+        eye = np.eye(p)
+        expected = (
+            location_error(ls, np.zeros(p)),
+            scatter_cond_error(ls.sigma, eye),
+            scatter_mse_single(ls.sigma, eye),
+            kl_divergence(ls.sigma, eye),
+            0.5,
+        )
 
-        def counting(sigma_hat, sigma_true):
-            whitened.append(None)
-            return original(sigma_hat, sigma_true)
+        def never(sigma_hat, sigma_true):
+            raise AssertionError("evaluate_estimate whitened the scatter")
 
-        monkeypatch.setattr(evaluation, "_whitened", counting)
-        metrics = evaluate_estimate(ls, np.zeros(5), truth, 0.5)
-        assert len(whitened) == 1
-        # The same bits as the two metrics computed on their own.
-        assert metrics.e_sigma == scatter_cond_error(ls.sigma, truth)
-        assert metrics.kl == kl_divergence(ls.sigma, truth)
+        monkeypatch.setattr(evaluation, "_whitened", never)
+        metrics = evaluate_estimate(ls, 0.5)
+        # The same bits as the four public metrics against (0, I).
+        assert (metrics.e_mu, metrics.e_sigma, metrics.mse_single, metrics.kl, metrics.seconds) == expected
 
 
 # A cell that runs, at the smallest setting.
